@@ -21,6 +21,7 @@ RISC-V F spec (a NaN operand is ignored; -0.0 < +0.0), conversions
 truncate toward zero and saturate.
 """
 
+import functools
 import math
 import struct
 
@@ -377,10 +378,17 @@ class GoldenModel:
     65-bit form ``tag << 32 | meta_word`` (address lives in ``gp``/``pc``),
     so state comparison against any other implementation is a plain
     integer compare.
+
+    Each static instruction is decoded once, at construction, into its
+    kind, semantic function and operands; ``step`` then dispatches on
+    the kind alone.  The PCC fetch check is memoised per ``(pcc, pc)``.
     """
 
     def __init__(self, program, num_threads, cheri):
         self.program = list(program)
+        self._decoded = [_decode(instr) for instr in self.program]
+        # Bounded by the (pcc, pc) pairs one launch reaches.
+        self._fetch_fault = functools.lru_cache(maxsize=None)(_fetch_fault)
         self.num_threads = num_threads
         self.cheri = cheri
         self.gp = [[0] * 32 for _ in range(num_threads)]
@@ -446,227 +454,294 @@ class GoldenModel:
             return None
         pc = self.pc[thread]
         index = pc >> 2
-        if not 0 <= index < len(self.program):
+        decoded = self._decoded
+        if not 0 <= index < len(decoded):
             self._fault("SoftwareTrap",
                         "instruction fetch from unmapped pc 0x%x" % pc,
                         thread, pc)
         if self.cheri:
-            pcc = self._pcc_cap(thread, pc)
-            if not (pcc.tag and Perms.EXECUTE in pcc.perms):
-                self._fault("PermissionViolation",
-                            "PCC lacks execute permission", thread, pc)
-            if not (pcc.base <= pc and pc + 4 <= pcc.top):
-                self._fault("BoundsViolation",
-                            "instruction fetch outside PCC bounds",
-                            thread, pc)
-        instr = self.program[index]
-        self._exec(thread, instr, pc)
-        return instr
-
-    def _exec(self, thread, instr, pc):
-        op = instr.op
+            fault = self._fetch_fault(self.pcc[thread], pc)
+            if fault is not None:
+                self._fault(fault[0], fault[1], thread, pc)
+        kind, fn, rd, rs1, rs2, imm, aux = decoded[index]
         gp = self.gp[thread]
-        next_pc = pc + 4
+        # Register-register and register-immediate ALU ops and branches
+        # are most of every program: they run inline, the rest through
+        # their decoded handler.
+        if kind == _K_RR:
+            value = fn(gp[rs1], gp[rs2])
+        elif kind == _K_RI:
+            value = fn(gp[rs1], imm)
+        else:
+            if kind == _K_BRANCH:
+                self.pc[thread] = ((pc + imm) & MASK32
+                                   if fn(gp[rs1], gp[rs2]) else pc + 4)
+            else:
+                fn(self, thread, pc, gp, rd, rs1, rs2, imm, aux)
+            return self.program[index]
+        if rd:
+            gp[rd] = value & MASK32
+            if self.cheri:
+                self.meta[thread][rd] = 0
+        self.pc[thread] = pc + 4
+        return self.program[index]
 
-        fn = _INT2.get(op)
-        if fn is not None:
-            self._write(thread, instr.rd, fn(gp[instr.rs1], gp[instr.rs2]))
-            self.pc[thread] = next_pc
-            return
+    # -- decoded handlers: (self, thread, pc, gp, rd, rs1, rs2, imm, aux) --
 
-        fn = _INT_IMM.get(op)
-        if fn is not None:
-            self._write(thread, instr.rd,
-                        fn(gp[instr.rs1], (instr.imm or 0) & MASK32))
-            self.pc[thread] = next_pc
-            return
+    def _x_unary(self, thread, pc, gp, rd, rs1, rs2, imm, fn):
+        self._write(thread, rd, fn(gp[rs1]))
+        self.pc[thread] = pc + 4
 
-        fn = _BRANCH.get(op)
-        if fn is not None:
-            taken = fn(gp[instr.rs1], gp[instr.rs2])
-            self.pc[thread] = (pc + instr.imm) & MASK32 if taken else next_pc
-            return
+    def _x_cget(self, thread, pc, gp, rd, rs1, rs2, imm, fn):
+        self._write(thread, rd, fn(self._cap(thread, rs1)))
+        self.pc[thread] = pc + 4
 
-        if op in LOAD_OPS or op in STORE_OPS or op in AMO_OPS:
-            self._exec_memory(thread, instr, pc, op)
-            self.pc[thread] = next_pc
-            return
+    def _x_cmod1(self, thread, pc, gp, rd, rs1, rs2, imm, fn):
+        cap = fn(self._cap(thread, rs1))
+        self._write(thread, rd, cap.addr, cap=cap)
+        self.pc[thread] = pc + 4
 
-        fn = _FLOAT2.get(op)
-        if fn is not None:
-            self._write(thread, instr.rd,
-                        fn(gp[instr.rs1] & MASK32, gp[instr.rs2] & MASK32))
-            self.pc[thread] = next_pc
-            return
+    def _x_cmod2(self, thread, pc, gp, rd, rs1, rs2, imm, fn):
+        cap = fn(self._cap(thread, rs1), gp[rs2])
+        self._write(thread, rd, cap.addr, cap=cap)
+        self.pc[thread] = pc + 4
 
-        fn = _FLOAT1.get(op)
-        if fn is not None:
-            self._write(thread, instr.rd, fn(gp[instr.rs1] & MASK32))
-            self.pc[thread] = next_pc
-            return
+    def _x_cimm(self, thread, pc, gp, rd, rs1, rs2, imm, fn):
+        cap = fn(self._cap(thread, rs1), imm or 0)
+        self._write(thread, rd, cap.addr, cap=cap)
+        self.pc[thread] = pc + 4
 
-        fn = _CGET.get(op)
-        if fn is not None:
-            self._write(thread, instr.rd, fn(self._cap(thread, instr.rs1)))
-            self.pc[thread] = next_pc
-            return
+    def _x_lui(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        self._write(thread, rd, (imm << 12) & MASK32)
+        self.pc[thread] = pc + 4
 
-        fn = _CRR.get(op)
-        if fn is not None:
-            self._write(thread, instr.rd, fn(gp[instr.rs1]))
-            self.pc[thread] = next_pc
-            return
+    def _x_auipc(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        self._write(thread, rd, (pc + (imm << 12)) & MASK32)
+        self.pc[thread] = pc + 4
 
-        fn = _CMOD1.get(op)
-        if fn is not None:
-            cap = fn(self._cap(thread, instr.rs1))
-            self._write(thread, instr.rd, cap.addr, cap=cap)
-            self.pc[thread] = next_pc
-            return
+    def _x_auipcc(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        addr = (pc + (imm << 12)) & MASK32
+        self._write(thread, rd, addr,
+                    cap=self._pcc_cap(thread, pc).set_addr(addr))
+        self.pc[thread] = pc + 4
 
-        fn = _CMOD2.get(op)
-        if fn is not None:
-            cap = fn(self._cap(thread, instr.rs1), gp[instr.rs2])
-            self._write(thread, instr.rd, cap.addr, cap=cap)
-            self.pc[thread] = next_pc
-            return
+    def _x_jal(self, thread, pc, gp, rd, rs1, rs2, imm, sentry_link):
+        if rd:
+            link_cap = None
+            if sentry_link:
+                link_cap = self._pcc_cap(thread, pc + 4).seal_entry()
+            self._write(thread, rd, pc + 4, cap=link_cap)
+        self.pc[thread] = (pc + imm) & MASK32
 
-        fn = _CIMM.get(op)
-        if fn is not None:
-            cap = fn(self._cap(thread, instr.rs1), instr.imm or 0)
-            self._write(thread, instr.rd, cap.addr, cap=cap)
-            self.pc[thread] = next_pc
-            return
+    def _x_jalr(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        target = (gp[rs1] + (imm or 0)) & ~1 & MASK32
+        if rd:
+            self._write(thread, rd, pc + 4)
+        self.pc[thread] = target
 
-        if op is Op.LUI:
-            self._write(thread, instr.rd, (instr.imm << 12) & MASK32)
-            self.pc[thread] = next_pc
-            return
+    def _x_cjalr(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        cap = self._cap(thread, rs1)
+        if not cap.tag:
+            self._fault("TagViolation", "CJALR via untagged capability",
+                        thread, pc)
+        if cap.is_sealed and not cap.is_sentry:
+            self._fault("SealViolation", "CJALR via sealed capability",
+                        thread, pc)
+        if Perms.EXECUTE not in cap.perms:
+            self._fault("PermissionViolation",
+                        "CJALR target lacks execute", thread, pc)
+        target_cap = cap.unseal_entry() if cap.is_sentry else cap
+        if rd:
+            link = self._pcc_cap(thread, pc + 4).seal_entry()
+            self._write(thread, rd, pc + 4, cap=link)
+        self.pcc[thread] = (target_cap.meta_word()
+                            | (int(target_cap.tag) << 32))
+        self.pc[thread] = (target_cap.addr + (imm or 0)) & ~1 & MASK32
 
-        if op is Op.AUIPC:
-            self._write(thread, instr.rd, (pc + (instr.imm << 12)) & MASK32)
-            self.pc[thread] = next_pc
-            return
+    def _x_cspecialrw(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        self._write(thread, rd, pc, cap=self._pcc_cap(thread, pc))
+        self.pc[thread] = pc + 4
 
-        if op is Op.AUIPCC:
-            addr = (pc + (instr.imm << 12)) & MASK32
-            self._write(thread, instr.rd, addr,
-                        cap=self._pcc_cap(thread, pc).set_addr(addr))
-            self.pc[thread] = next_pc
-            return
+    def _x_sync(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        # Synchronisation has no architectural per-thread effect beyond
+        # advancing the PC.
+        self.pc[thread] = pc + 4
 
-        if op in (Op.JAL, Op.CJAL):
-            if instr.rd:
-                link_cap = None
-                if op is Op.CJAL:
-                    link_cap = self._pcc_cap(thread, next_pc).seal_entry()
-                self._write(thread, instr.rd, next_pc, cap=link_cap)
-            self.pc[thread] = (pc + instr.imm) & MASK32
-            return
+    def _x_halt(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        self.halted[thread] = True  # PC stays at the halt
 
-        if op is Op.JALR:
-            target = (gp[instr.rs1] + (instr.imm or 0)) & ~1 & MASK32
-            if instr.rd:
-                self._write(thread, instr.rd, next_pc)
-            self.pc[thread] = target
-            return
+    def _x_trap(self, thread, pc, gp, rd, rs1, rs2, imm, op):
+        self._fault("SoftwareTrap", "software trap (%s)" % op.name.lower(),
+                    thread, pc)
 
-        if op is Op.CJALR:
-            cap = self._cap(thread, instr.rs1)
-            if not cap.tag:
-                self._fault("TagViolation", "CJALR via untagged capability",
-                            thread, pc)
-            if cap.is_sealed and not cap.is_sentry:
-                self._fault("SealViolation", "CJALR via sealed capability",
-                            thread, pc)
-            if Perms.EXECUTE not in cap.perms:
-                self._fault("PermissionViolation",
-                            "CJALR target lacks execute", thread, pc)
-            target_cap = cap.unseal_entry() if cap.is_sentry else cap
-            if instr.rd:
-                link = self._pcc_cap(thread, next_pc).seal_entry()
-                self._write(thread, instr.rd, next_pc, cap=link)
-            self.pcc[thread] = (target_cap.meta_word()
-                                | (int(target_cap.tag) << 32))
-            self.pc[thread] = (target_cap.addr + (instr.imm or 0)) \
-                & ~1 & MASK32
-            return
-
-        if op is Op.CSPECIALRW:
-            self._write(thread, instr.rd, pc, cap=self._pcc_cap(thread, pc))
-            self.pc[thread] = next_pc
-            return
-
-        if op in (Op.BARRIER, Op.FENCE):
-            # Synchronisation has no architectural per-thread effect
-            # beyond advancing the PC.
-            self.pc[thread] = next_pc
-            return
-
-        if op is Op.HALT:
-            self.halted[thread] = True  # PC stays at the halt
-            return
-
-        if op in (Op.TRAP, Op.EBREAK, Op.ECALL):
-            self._fault("SoftwareTrap",
-                        "software trap (%s)" % op.name.lower(), thread, pc)
-
+    def _x_unimplemented(self, thread, pc, gp, rd, rs1, rs2, imm, op):
         self._fault("SoftwareTrap", "unimplemented op %s" % op, thread, pc)
 
-    def _exec_memory(self, thread, instr, pc, op):
-        gp = self.gp[thread]
-        width = ACCESS_WIDTH[op]
-        cap_addressed = op.name.startswith("C")
-        imm = instr.imm or 0
-        cap = None
-        if cap_addressed:
-            cap = self._cap(thread, instr.rs1)
-            addr = (cap.addr + imm) & MASK32
-        else:
-            addr = (gp[instr.rs1] + imm) & MASK32
+    # -- memory handlers: ``aux`` is ``(op, width, perms, extra)`` ---------
 
-        is_amo = op in AMO_OPS
-        is_store = op in STORE_OPS
+    def _address(self, thread, pc, gp, rs1, imm, op, width, perms):
+        """Effective address and authorising capability (``None`` for
+        integer-addressed ops); capability-addressed ops are checked
+        against each permission in ``perms``, in order."""
+        imm = imm or 0
+        if not perms:
+            return (gp[rs1] + imm) & MASK32, None
+        cap = self._cap(thread, rs1)
+        addr = (cap.addr + imm) & MASK32
+        for perm in perms:
+            self._check_cap(cap, addr, width, perm, thread, pc, op.name)
+        return addr, cap
 
-        if cap_addressed:
-            if is_amo:
-                self._check_cap(cap, addr, width, Perms.LOAD,
-                                thread, pc, op.name)
-                self._check_cap(cap, addr, width, Perms.STORE,
-                                thread, pc, op.name)
-            elif is_store:
-                self._check_cap(cap, addr, width, Perms.STORE,
-                                thread, pc, op.name)
-            else:
-                self._check_cap(cap, addr, width, Perms.LOAD,
-                                thread, pc, op.name)
+    def _x_load(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        op, width, perms, signed = aux
+        addr, _ = self._address(thread, pc, gp, rs1, imm, op, width, perms)
+        self._write(thread, rd, self.memory.load(addr, width, signed))
+        self.pc[thread] = pc + 4
 
+    def _x_store(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        op, width, perms, _ = aux
+        addr, _ = self._address(thread, pc, gp, rs1, imm, op, width, perms)
+        self.memory.store(addr, width, gp[rs2] & ((1 << (8 * width)) - 1))
+        self.pc[thread] = pc + 4
+
+    def _x_amo(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        op, width, perms, fn = aux
+        addr, _ = self._address(thread, pc, gp, rs1, imm, op, width, perms)
         memory = self.memory
-        if is_amo:
-            old = memory.load(addr, 4)
-            memory.store(addr, 4, _AMO[op](old, gp[instr.rs2]))
-            self._write(thread, instr.rd, old)
-            return
+        old = memory.load(addr, 4)
+        memory.store(addr, 4, fn(old, gp[rs2]))
+        self._write(thread, rd, old)
+        self.pc[thread] = pc + 4
 
-        if is_store:
-            if op is Op.CSC:
-                cap2 = self._cap(thread, instr.rs2)
-                if cap2.tag and Perms.STORE_CAP not in cap.perms:
-                    self._fault("PermissionViolation",
-                                "CSC lacks STORE_CAP permission", thread, pc)
-                memory.store_cap(addr, cap2.to_mem() & MASK64, cap2.tag)
-            else:
-                memory.store(addr, width,
-                             gp[instr.rs2] & ((1 << (8 * width)) - 1))
-            return
+    def _x_clc(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        op, width, perms, _ = aux
+        addr, cap = self._address(thread, pc, gp, rs1, imm, op, width, perms)
+        raw, tag = self.memory.load_cap(addr)
+        if tag and Perms.LOAD_CAP not in cap.perms:
+            tag = False  # lacking LOAD_CAP strips the loaded tag
+        loaded = Capability.from_mem(raw | (int(tag) << 64))
+        self._write(thread, rd, loaded.addr, cap=loaded)
+        self.pc[thread] = pc + 4
 
-        if op is Op.CLC:
-            raw, tag = memory.load_cap(addr)
-            if tag and Perms.LOAD_CAP not in cap.perms:
-                tag = False  # lacking LOAD_CAP strips the loaded tag
-            loaded = Capability.from_mem(raw | (int(tag) << 64))
-            self._write(thread, instr.rd, loaded.addr, cap=loaded)
-            return
+    def _x_csc(self, thread, pc, gp, rd, rs1, rs2, imm, aux):
+        op, width, perms, _ = aux
+        addr, cap = self._address(thread, pc, gp, rs1, imm, op, width, perms)
+        cap2 = self._cap(thread, rs2)
+        if cap2.tag and Perms.STORE_CAP not in cap.perms:
+            self._fault("PermissionViolation",
+                        "CSC lacks STORE_CAP permission", thread, pc)
+        self.memory.store_cap(addr, cap2.to_mem() & MASK64, cap2.tag)
+        self.pc[thread] = pc + 4
 
-        self._write(thread, instr.rd,
-                    memory.load(addr, width, op in _SIGNED_LOADS))
+
+# ---------------------------------------------------------------------------
+# Decoding and the fetch check
+# ---------------------------------------------------------------------------
+
+#: Decoded kinds ``GoldenModel.step`` runs inline; everything else is
+#: ``_K_CALL``, whose ``fn`` is a ``GoldenModel._x_*`` handler.
+_K_RR, _K_RI, _K_BRANCH, _K_CALL = range(4)
+
+#: (semantic table, handler) for ops whose handler takes the op's
+#: semantic function as ``aux``.
+_CALL_TABLES = (
+    (_FLOAT1, GoldenModel._x_unary), (_CRR, GoldenModel._x_unary),
+    (_CGET, GoldenModel._x_cget), (_CMOD1, GoldenModel._x_cmod1),
+    (_CMOD2, GoldenModel._x_cmod2), (_CIMM, GoldenModel._x_cimm),
+)
+
+#: op -> handler for the remaining ops; their ``aux`` is the op (for
+#: jumps: whether the link is sealed as a sentry).
+_CALL_OPS = {
+    Op.LUI: GoldenModel._x_lui,
+    Op.AUIPC: GoldenModel._x_auipc,
+    Op.AUIPCC: GoldenModel._x_auipcc,
+    Op.JAL: GoldenModel._x_jal,
+    Op.CJAL: GoldenModel._x_jal,
+    Op.JALR: GoldenModel._x_jalr,
+    Op.CJALR: GoldenModel._x_cjalr,
+    Op.CSPECIALRW: GoldenModel._x_cspecialrw,
+    Op.BARRIER: GoldenModel._x_sync,
+    Op.FENCE: GoldenModel._x_sync,
+    Op.HALT: GoldenModel._x_halt,
+    Op.TRAP: GoldenModel._x_trap,
+    Op.EBREAK: GoldenModel._x_trap,
+    Op.ECALL: GoldenModel._x_trap,
+}
+
+
+def _decode_memory(op):
+    """``(handler, aux)`` of a load, store or atomic."""
+    if not op.name.startswith("C"):
+        perms = ()
+    elif op in AMO_OPS:
+        perms = (Perms.LOAD, Perms.STORE)
+    elif op in STORE_OPS:
+        perms = (Perms.STORE,)
+    else:
+        perms = (Perms.LOAD,)
+    width = ACCESS_WIDTH[op]
+    if op in AMO_OPS:
+        return GoldenModel._x_amo, (op, width, perms, _AMO[op])
+    if op is Op.CSC:
+        return GoldenModel._x_csc, (op, width, perms, None)
+    if op in STORE_OPS:
+        return GoldenModel._x_store, (op, width, perms, None)
+    if op is Op.CLC:
+        return GoldenModel._x_clc, (op, width, perms, None)
+    return GoldenModel._x_load, (op, width, perms, op in _SIGNED_LOADS)
+
+
+def _decode_op(op):
+    """``(kind, fn, aux)``: the part of a decoded instruction that
+    depends on its op alone."""
+    fn = _INT2.get(op) or _FLOAT2.get(op)
+    if fn is not None:
+        # Every register-register function masks its own operands.
+        return _K_RR, fn, None
+    fn = _INT_IMM.get(op)
+    if fn is not None:
+        return _K_RI, fn, None
+    fn = _BRANCH.get(op)
+    if fn is not None:
+        return _K_BRANCH, fn, None
+    if op in LOAD_OPS or op in STORE_OPS or op in AMO_OPS:
+        return (_K_CALL,) + _decode_memory(op)
+    for table, handler in _CALL_TABLES:
+        fn = table.get(op)
+        if fn is not None:
+            return _K_CALL, handler, fn
+    handler = _CALL_OPS.get(op, GoldenModel._x_unimplemented)
+    aux = op is Op.CJAL if handler is GoldenModel._x_jal else op
+    return _K_CALL, handler, aux
+
+
+_OP_DECODE = {op: _decode_op(op) for op in Op}
+
+
+def _decode(instr):
+    """One static instruction -> ``(kind, fn, rd, rs1, rs2, imm, aux)``.
+
+    Decoding only looks the op up, so nothing here can fault: operand
+    errors surface when the instruction executes, exactly as if it were
+    decoded per step.
+    """
+    kind, fn, aux = _OP_DECODE[instr.op]
+    imm = instr.imm
+    if kind == _K_RI:
+        imm = (imm or 0) & MASK32
+    return (kind, fn, instr.rd, instr.rs1, instr.rs2, imm, aux)
+
+
+def _fetch_fault(pcc, pc):
+    """The PCC fetch check: ``None`` when a thread whose packed PCC is
+    ``pcc`` may fetch at ``pc``, else the fault's ``(kind, message)``.
+
+    A pure function of its two arguments, so each model memoises it.
+    """
+    cap = Capability.from_meta_word(pcc & MASK32, pc, pcc > MASK32)
+    if not (cap.tag and Perms.EXECUTE in cap.perms):
+        return ("PermissionViolation", "PCC lacks execute permission")
+    if not (cap.base <= pc and pc + 4 <= cap.top):
+        return ("BoundsViolation", "instruction fetch outside PCC bounds")
+    return None

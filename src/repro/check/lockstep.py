@@ -8,7 +8,10 @@ effects — destination register (value and capability metadata), next PC,
 halt state, and the program-counter capability; at ``finish`` it performs
 a full sweep over every register, per-thread PC and the entire tagged
 memory.  The first mismatch raises :class:`DivergenceError` with the PC,
-the compiled source line, and both states.
+the compiled source line, and both states.  A retire that covers the
+whole warp is diffed one lane vector per field; only a mismatch (or a
+partial warp) walks the lanes, so the report names the same first
+(lane, field) either way.
 
 All pipeline state is observed through side-effect-free accessors
 (``RegFile.peek``, direct reads of the warp objects and the memory
@@ -110,15 +113,18 @@ class LockstepChecker:
                 golden.halted[base + lane] = warp.halted[lane]
                 if cheri:
                     golden.pcc[base + lane] = warp.pcc_meta[lane]
+        # Register columns (x0 reads as zero) transposed into the golden
+        # model's per-thread rows.
+        zero = [0] * lanes
+        regfiles = ((sm.gp, golden.gp), (sm.meta, golden.meta)) if cheri \
+            else ((sm.gp, golden.gp),)
         for w in range(cfg.num_warps):
             base = w * lanes
-            for reg in range(1, 32):
-                values = sm.gp.peek(w, reg)
-                metas = sm.meta.peek(w, reg) if cheri else None
-                for lane in range(lanes):
-                    golden.gp[base + lane][reg] = values[lane]
-                    if cheri:
-                        golden.meta[base + lane][reg] = metas[lane]
+            for regfile, rows in regfiles:
+                columns = [zero] + [regfile.peek(w, reg)
+                                    for reg in range(1, 32)]
+                rows[base:base + lanes] = [list(row)
+                                           for row in zip(*columns)]
         golden.memory.words.update(sm.memory._words)
         golden.memory.tags.update(sm.memory._tags)
         self.golden = golden
@@ -156,6 +162,11 @@ class LockstepChecker:
             values = sm.gp.peek(warp.index, rd)
             if cheri:
                 metas = sm.meta.peek(warp.index, rd)
+        if len(lanes) == num_lanes and self._warp_agrees(
+                warp, base, rd, values, metas):
+            return
+        # A partial warp, or a mismatch somewhere: the lane-by-lane walk
+        # finds and reports the first differing (lane, field).
         for lane in lanes:
             thread = base + lane
             if rd:
@@ -178,6 +189,24 @@ class LockstepChecker:
                 self._diverge(cycle, warp.index, lane, thread, pc, instr,
                               "pcc", warp.pcc_meta[lane],
                               golden.pcc[thread])
+
+    def _warp_agrees(self, warp, base, rd, values, metas):
+        """Whole-warp form of the per-lane diff: every field the walk
+        compares, compared as one vector per field."""
+        golden = self.golden
+        end = base + len(warp.pcs)
+        if (warp.pcs != golden.pc[base:end]
+                or warp.halted != golden.halted[base:end]):
+            return False
+        if golden.cheri and warp.pcc_meta != golden.pcc[base:end]:
+            return False
+        if rd:
+            if values != [row[rd] for row in golden.gp[base:end]]:
+                return False
+            if metas is not None and \
+                    metas != [row[rd] for row in golden.meta[base:end]]:
+                return False
+        return True
 
     def on_finish(self, sm):
         """Full final sweep at detach time (skipped after an abort)."""

@@ -15,6 +15,11 @@ from typing import Optional
 class Op(Enum):
     """Every operation the SIMT core can execute."""
 
+    # Members are singletons compared by identity, so the identity hash
+    # is exact; it spares every Op-keyed dict and set lookup a call to
+    # Enum's Python-level ``__hash__``.
+    __hash__ = object.__hash__
+
     # --- RV32I ---
     LUI = auto()
     AUIPC = auto()

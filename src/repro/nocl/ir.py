@@ -75,6 +75,17 @@ class VLoadImm:
         return [self.rd]
 
 
+def clone_items(items):
+    """Per-item copies of an item list.  Items hold only scalars, so a
+    shallow copy of each is a deep copy of the list."""
+    clones = []
+    for item in items:
+        clone = object.__new__(type(item))
+        clone.__dict__.update(item.__dict__)
+        clones.append(clone)
+    return clones
+
+
 class AsmError(Exception):
     """Raised on malformed virtual assembly (unknown label, bad range)."""
 

@@ -1,8 +1,10 @@
 """The ``-O1`` pass set: semantics-preserving rewrites of the linear IR.
 
-Every pass edits the item list and reports what it changed; the pass
-manager (:mod:`.pipeline`) rebuilds the CFG between passes.  Safety
-arguments, per pass:
+Every pass edits the item list and reports what it changed.  Each takes
+an optional ``cfg``, the CFG of ``items`` as given: the pass manager
+(:mod:`.pipeline`) hands the previous pass's CFG on when that pass
+changed nothing, and a pass rebuilds it after each of its own edits.
+Safety arguments, per pass:
 
 - **LICM** hoists only *pure, non-trapping* operations (integer/float
   ALU, LI, and the capability-manipulation ops, which clear the tag
@@ -72,7 +74,8 @@ def _operand_regs(item):
 _PRESSURE_TARGET = 12
 
 
-def licm(items, pressure_target=_PRESSURE_TARGET) -> Tuple[list, int]:
+def licm(items, pressure_target=_PRESSURE_TARGET,
+         cfg=None) -> Tuple[list, int]:
     """Hoist loop-invariant pure computation into loop preheaders.
 
     Returns ``(new_items, hoisted_count)``.  ``pressure_target`` bounds
@@ -84,7 +87,7 @@ def licm(items, pressure_target=_PRESSURE_TARGET) -> Tuple[list, int]:
     while changed:
         changed = False
         try:
-            cfg = build_cfg(items)
+            cfg = cfg or build_cfg(items)
         except CFGError:
             return items, hoisted_total
         sites = def_sites(items)
@@ -96,7 +99,8 @@ def licm(items, pressure_target=_PRESSURE_TARGET) -> Tuple[list, int]:
             items = _apply_hoist(cfg, items, header, moves)
             hoisted_total += len(moves)
             changed = True
-            break  # item indices shifted: rebuild the CFG
+            cfg = None  # item indices shifted: rebuild the CFG
+            break
     return items, hoisted_total
 
 
@@ -239,12 +243,12 @@ def _apply_hoist(cfg, items, header, moves):
 # Common-subexpression elimination
 # ---------------------------------------------------------------------------
 
-def cse(items) -> Tuple[list, int]:
+def cse(items, cfg=None) -> Tuple[list, int]:
     """Dominator-scoped value numbering over single-definition registers."""
     removed_total = 0
     for _ in range(4):  # operand rewrites can expose new matches
         try:
-            cfg = build_cfg(items)
+            cfg = cfg or build_cfg(items)
         except CFGError:
             return items, removed_total
         sites = def_sites(items)
@@ -333,6 +337,7 @@ def cse(items) -> Tuple[list, int]:
                             item.rs2 = resolved[item.rs2]
             out.append(item)
         items = out
+        cfg = None
         removed_total += len(delete)
     return items, removed_total
 
@@ -424,10 +429,10 @@ def _divmod_recombine(items, cfg, sites, i, item):
     return False
 
 
-def strength_reduce(items) -> Tuple[list, int]:
+def strength_reduce(items, cfg=None) -> Tuple[list, int]:
     """MUL/DIVU/REMU with a known power-of-two operand -> shift/mask."""
     try:
-        cfg = build_cfg(items)
+        cfg = cfg or build_cfg(items)
     except CFGError:
         return items, 0
     sites = def_sites(items)
@@ -516,13 +521,13 @@ def find_checks(items):
     return checks
 
 
-def eliminate_bounds_checks(items) -> Tuple[list, int, int]:
+def eliminate_bounds_checks(items, cfg=None) -> Tuple[list, int, int]:
     """Drop provably-redundant / provably-in-bounds software checks.
 
     Returns ``(new_items, dominated_removed, range_removed)``.
     """
     try:
-        cfg = build_cfg(items)
+        cfg = cfg or build_cfg(items)
     except CFGError:
         return items, 0, 0
     checks = find_checks(items)
@@ -541,6 +546,8 @@ def eliminate_bounds_checks(items) -> Tuple[list, int, int]:
         if idx.hi < length.lo:
             proved.append(i)
 
+    if not dominated and not proved:
+        return items, 0, 0
     doomed = set()
     for i in dominated + proved:
         doomed.update((i, i + 1, i + 2))
@@ -552,14 +559,14 @@ def eliminate_bounds_checks(items) -> Tuple[list, int, int]:
 # Dead-code elimination
 # ---------------------------------------------------------------------------
 
-def dce(items) -> Tuple[list, int]:
+def dce(items, cfg=None) -> Tuple[list, int]:
     """Remove pure definitions that are dead per block-level liveness."""
     removed_total = 0
     changed = True
     while changed:
         changed = False
         try:
-            cfg = build_cfg(items)
+            cfg = cfg or build_cfg(items)
         except CFGError:
             return items, removed_total
         liveness = Liveness(cfg)
@@ -585,6 +592,7 @@ def dce(items) -> Tuple[list, int]:
                         live.add(reg)
         if doomed:
             items = [item for i, item in enumerate(items) if i not in doomed]
+            cfg = None
             removed_total += len(doomed)
             changed = True
     return items, removed_total

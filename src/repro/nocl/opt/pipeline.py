@@ -17,13 +17,16 @@ optimized CFG*: loop spans become the item ranges of the natural loops,
 and any virtual register now defined before a loop but read inside it
 (a hoisted or merged value, live across the back edge) joins
 ``var_vregs`` so linear-scan interval widening keeps it alive.
+
+Each attempt runs on a per-item clone of the input, which is never
+edited.  A pass that reports no change leaves the item list as it was,
+so its CFG is handed on to the next pass instead of being rebuilt.
 """
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.nocl.ir import FIRST_VREG, VLabel
+from repro.nocl.ir import FIRST_VREG, VLabel, clone_items
 from repro.nocl.opt.cfg import CFGError, build_cfg
 from repro.nocl.opt import passes as P
 
@@ -107,9 +110,9 @@ def optimize(items, loop_spans, var_vregs, level, cap_spills=False):
     base_cost = _trial_spill_cost(items, loop_spans, var_vregs, cap_spills)
     for licm_target, enable_cse in _BACKOFF:
         attempt = OptReport(level=level, items_before=len(items))
-        out = _run_passes(copy.deepcopy(items), attempt, licm_target,
-                          enable_cse)
-        out_spans, out_vregs = _recompute_loop_metadata(out, var_vregs)
+        out, cfg = _run_passes(clone_items(items), attempt, licm_target,
+                               enable_cse)
+        out_spans, out_vregs = _recompute_loop_metadata(out, var_vregs, cfg)
         cost = _trial_spill_cost(out, out_spans, out_vregs, cap_spills)
         if cost > base_cost:
             continue
@@ -119,21 +122,29 @@ def optimize(items, loop_spans, var_vregs, level, cap_spills=False):
 
 
 def _run_passes(items, report, licm_target, enable_cse):
+    """The pass sequence; returns the optimized items and their CFG."""
+    cfg = build_cfg(items)
+
+    def run(name, pass_fn, **options):
+        nonlocal items, cfg
+        items, changed = pass_fn(items, cfg=cfg, **options)
+        report.bump(name, changed)
+        if changed:
+            cfg = build_cfg(items)
+
     for _ in range(2):
-        items, hoisted = P.licm(items, pressure_target=licm_target)
-        report.bump("licm", hoisted)
+        run("licm", P.licm, pressure_target=licm_target)
         if enable_cse:
-            items, merged = P.cse(items)
-            report.bump("cse", merged)
-        items, reduced = P.strength_reduce(items)
-        report.bump("strength", reduced)
-    items, dominated, proved = P.eliminate_bounds_checks(items)
+            run("cse", P.cse)
+        run("strength", P.strength_reduce)
+    items, dominated, proved = P.eliminate_bounds_checks(items, cfg=cfg)
+    if dominated or proved:
+        cfg = build_cfg(items)
     report.bump("boundscheck", (dominated + proved) * 3)
     report.bounds_dominated = dominated
     report.bounds_range_proved = proved
-    items, dead = P.dce(items)
-    report.bump("dce", dead)
-    return items
+    run("dce", P.dce)
+    return items, cfg
 
 
 def _trial_spill_cost(items, loop_spans, var_vregs, cap_spills):
@@ -147,7 +158,8 @@ def _trial_spill_cost(items, loop_spans, var_vregs, cap_spills):
     """
     from repro.nocl.regalloc import AllocationError, allocate
     try:
-        allocated, frame = allocate(copy.deepcopy(items), list(loop_spans),
+        # ``allocate`` builds new items and never edits its input.
+        allocated, frame = allocate(items, list(loop_spans),
                                     set(var_vregs), cap_spills=cap_spills)
     except AllocationError:
         return (float("inf"), float("inf"))
@@ -158,9 +170,9 @@ def _trial_spill_cost(items, loop_spans, var_vregs, cap_spills):
     return (weighted, frame)
 
 
-def _recompute_loop_metadata(items, var_vregs):
-    """Loop spans + back-edge-live vregs for the optimized item order."""
-    cfg = build_cfg(items)
+def _recompute_loop_metadata(items, var_vregs, cfg):
+    """Loop spans + back-edge-live vregs for the optimized item order
+    (``cfg`` is the CFG of ``items``)."""
     spans: List[Tuple[int, int]] = []
     for _header, body in cfg.loops:
         spans.append(cfg.loop_item_span(body))

@@ -376,14 +376,6 @@ class StreamingMultiprocessor:
         """Issue one instruction for one warp (delegates to the backend)."""
         return self.backend.issue(warp, cycle)
 
-    def _decode_instr(self, instr):
-        return self.backend.decode(instr)
-
-    def _execute(self, warp, instr, pc, lanes, mask):
-        """Decode-and-execute one instruction (non-cached dispatch)."""
-        handler, aux = self.backend.decode(instr)
-        handler(warp, instr, pc, lanes, mask, aux)
-
     def _advance(self, warp, lanes, next_pc):
         pcs = warp.pcs
         if len(lanes) == len(pcs):

@@ -432,3 +432,111 @@ def test_opt_report_survives_disk_cache(tmp_path, monkeypatch):
     warm = runner.run_benchmark("Histogram", "boundscheck", opt=1)
     assert warm.meta.source == "disk"
     assert warm.meta.opt == cold.meta.opt
+
+
+# ---------------------------------------------------------------------------
+# The pipeline never edits its input, and its output is pinned
+# ---------------------------------------------------------------------------
+
+def _benchmark_kernels():
+    """(benchmark, attribute, KernelSource) for every kernel bound in a
+    benchmark's module, the way the runner's cache key finds them."""
+    import inspect
+    from repro.benchsuite import ALL_BENCHMARKS
+    from repro.nocl.dsl import KernelSource
+    for name, bench in ALL_BENCHMARKS.items():
+        module = inspect.getmodule(type(bench))
+        for attr, obj in sorted(vars(module).items()):
+            if isinstance(obj, KernelSource):
+                yield name, attr, obj
+
+
+def _fuzz_kernels(count=4):
+    from repro.check.fuzz import SCHEDULE, generate_case
+    from repro.nocl.dsl import KernelSource
+    stride = len(SCHEDULE)
+    first = SCHEDULE.index("kernel")
+    for i in range(count):
+        case = generate_case(seed=3, index=first + i * stride)
+        yield KernelSource.from_source(case.source)
+
+
+def test_optimize_leaves_its_input_unchanged(monkeypatch):
+    """``optimize`` works on per-item clones: the caller's item list and
+    every item's fields are as they were, on every benchmark kernel and
+    on generated kernels."""
+    import repro.nocl.opt as opt_pkg
+    from repro.nocl.compiler import MODES, compile_kernel
+    original = opt_pkg.optimize
+    seen = []
+
+    def checked(items, loop_spans, var_vregs, level, **kwargs):
+        before = list(items)
+        fields = [(type(item), dict(vars(item))) for item in items]
+        spans, vregs = list(loop_spans), set(var_vregs)
+        result = original(items, loop_spans, var_vregs, level, **kwargs)
+        assert len(items) == len(before)
+        assert all(a is b for a, b in zip(items, before))
+        assert [(type(item), vars(item)) for item in items] == fields
+        assert (list(loop_spans), set(var_vregs)) == (spans, vregs)
+        seen.append(result[3].total_changes())
+        return result
+
+    monkeypatch.setattr(opt_pkg, "optimize", checked)
+    kernels = [src for _, _, src in _benchmark_kernels()]
+    kernels += list(_fuzz_kernels())
+    for source in kernels:
+        for mode in MODES:
+            compile_kernel(source, mode, opt=1)
+    assert len(seen) == 3 * len(kernels)
+    assert any(seen)  # the passes did rewrite something
+
+
+def _o1_digest(name, config_name):
+    """Digest of the assembled -O1 binaries of one benchmark's kernels:
+    every instruction's fields, its depth, and the spill frame size."""
+    import hashlib
+    from repro.eval.runner import config_for
+    from repro.nocl.compiler import compile_kernel
+    mode, _ = config_for(config_name)
+    h = hashlib.sha256()
+    for bench, attr, source in _benchmark_kernels():
+        if bench != name:
+            continue
+        compiled = compile_kernel(source, mode, opt=1)
+        h.update(repr((attr, compiled.frame_bytes,
+                       [(i.op.name, i.rd, i.rs1, i.rs2, i.imm, i.depth)
+                        for i in compiled.instrs])).encode())
+    return h.hexdigest()[:16]
+
+
+#: ``_o1_digest`` per benchmark for (baseline, cheri_opt, boundscheck),
+#: taken before the pass pipeline stopped deep-copying its input and
+#: started reusing CFGs.  BitonicSm and BitonicLa share a module, so
+#: they share their kernels and digests.
+O1_DIGESTS = {
+    "VecAdd": ("56170717f7c150f0", "ad78f9a9a40e510c", "f662d23212116549"),
+    "Histogram": ("cd714aa6fb3e7edf", "e80574c71e583b3f", "4625bb0d6ebe8ad7"),
+    "Reduce": ("ea808f3c3431fd51", "66082ebdf00ecb0a", "c046e4fb8f72028e"),
+    "Scan": ("809fd784837efe60", "3fdab9abb4ac792d", "20679739f3bfef34"),
+    "Transpose": ("e986cb4d6916b433", "54e2281a5b7ea468", "b994418d4e2a9611"),
+    "MatVecMul": ("1a5907adbf608534", "d935eb2c5cc65906", "30b16fbb93fe5a76"),
+    "MatMul": ("23ba5a9e59edf756", "7ff538de4e7b8318", "adf3dc3d35af6d4a"),
+    "BitonicSm": ("ef71335bacc2d5a5", "f7b506f9685d3773", "fd7700c394c0030c"),
+    "BitonicLa": ("ef71335bacc2d5a5", "f7b506f9685d3773", "fd7700c394c0030c"),
+    "SPMV": ("35903733f1f623d5", "dda3a05a866bdace", "03cff5da8d067e69"),
+    "BlkStencil":
+        ("02cca049c9393c14", "fc958113903fd7ca", "ca24f4e97c5208bf"),
+    "StrStencil":
+        ("37067e75c99a42cd", "f2facf93cfa89828", "2dcbd971a67fb887"),
+    "VecGCD": ("1013d23bc442f700", "851614ae0b9e1455", "d5d1ca26e2ce7445"),
+    "MotionEst": ("7929cd3f3e0ca0d4", "89c3ad158f2ee0d6", "ca673d66784228e8"),
+}
+
+
+@pytest.mark.parametrize("column, config_name",
+                         enumerate(("baseline", "cheri_opt", "boundscheck")))
+def test_o1_codegen_is_pinned(column, config_name):
+    got = {name: _o1_digest(name, config_name) for name in O1_DIGESTS}
+    want = {name: digests[column] for name, digests in O1_DIGESTS.items()}
+    assert got == want
