@@ -36,7 +36,8 @@ from repro.obs.manifest import (
     load_manifest,
 )
 
-#: Higher-is-worse wall-clock metrics tracked across BENCH records.
+#: Higher-is-worse wall-clock metrics tracked across BENCH records
+#: (``first_launch_overhead_seconds`` appears only in older records).
 BENCH_METRICS = (
     "cold_serial_seconds",
     "cold_parallel_seconds",

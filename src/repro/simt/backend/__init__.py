@@ -3,24 +3,29 @@
 A backend owns instruction decode and the issue/scheduler loop of one
 :class:`~repro.simt.pipeline.StreamingMultiprocessor`; the SM keeps the
 shared plumbing (register files, memory system, capability checks) that
-every backend drives.  Three backends exist:
+every backend drives.  Two backends exist:
 
 - ``scalar`` — the reference per-lane interpreter (one Python-level loop
   over active lanes per instruction).
 - ``vector`` — lane-vectorized execution: symbolic uniform/affine operand
-  forms, NumPy lane arrays on wide SMs, fast-path capability checks and a
-  hot-trace specializer, falling back to the scalar semantics per-op for
-  rare cases.  Bit-identical to ``scalar`` by construction.
-- ``jit`` — the codegen trace-JIT tier layered on ``vector``: hot
-  straight-line regions are compiled into fused Python closures
-  specialized to the decoded instructions (constants inlined, capability
-  checks hoisted, stats coalesced), cached by program digest so
-  recompilation survives re-launches.  Bit-identical to ``scalar`` by
-  construction, with the vectorized handlers as per-step fallback.
+  forms, NumPy lane arrays on wide SMs, fast-path capability checks and
+  hot straight-line regions replayed from pre-decoded steps (full-warp
+  or under a divergent thread group's mask), falling back to the scalar
+  semantics per-op for rare cases.  Bit-identical to ``scalar`` by
+  construction.
 
 Backends are selected by :attr:`repro.simt.config.SMConfig.backend`,
 whose default honours the ``REPRO_BACKEND`` environment variable.
 """
+
+#: Every valid ``SMConfig.backend`` value; the only copy of the list.
+BACKEND_NAMES = ("scalar", "vector")
+
+
+def unknown_backend_error(name):
+    """The ``ValueError`` for a backend name not in :data:`BACKEND_NAMES`."""
+    return ValueError("unknown backend %r (choose %s)"
+                      % (name, " or ".join(BACKEND_NAMES)))
 
 
 def create_backend(name, sm):
@@ -31,11 +36,4 @@ def create_backend(name, sm):
     if name == "vector":
         from repro.simt.backend.vector import VectorBackend
         return VectorBackend(sm)
-    if name == "jit":
-        from repro.simt.backend.jit import JITBackend
-        return JITBackend(sm)
-    raise ValueError("unknown backend %r (choose scalar, vector or jit)"
-                     % (name,))
-
-
-BACKEND_NAMES = ("scalar", "vector", "jit")
+    raise unknown_backend_error(name)

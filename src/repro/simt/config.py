@@ -13,6 +13,8 @@ The paper evaluates three configurations (section 4.1):
 import os
 from dataclasses import dataclass, field, replace
 
+from repro.simt.backend import BACKEND_NAMES, unknown_backend_error
+
 #: Number of architectural registers per thread.
 REGS_PER_THREAD = 32
 
@@ -37,7 +39,7 @@ def default_backend():
     """The default execution backend.
 
     Honours the ``REPRO_BACKEND`` environment variable so CI jobs and
-    the serve workers can switch tiers without threading flags through
+    the serve workers can switch backends without threading flags through
     every entry point; an explicit ``backend=`` argument (e.g. from a
     CLI ``--backend`` flag) still wins because it bypasses the default.
     """
@@ -88,11 +90,9 @@ class SMConfig:
     #: issued instruction across all lanes at once (symbolic uniform /
     #: affine forms, NumPy arrays on wide SMs, hot-trace specialisation)
     #: and is bit-identical to the scalar backend by construction —
-    #: enforced by the equivalence tests and ``repro lockstep``.
-    #: ``"jit"`` layers the codegen trace-JIT tier on top of the vector
-    #: backend (see :mod:`repro.simt.backend.jit`), same bit-identity
-    #: contract.  The default honours ``REPRO_BACKEND`` (see
-    #: :func:`default_backend`).
+    #: enforced by the equivalence tests and ``repro lockstep``.  Valid
+    #: names are :data:`repro.simt.backend.BACKEND_NAMES`.  The default
+    #: honours ``REPRO_BACKEND`` (see :func:`default_backend`).
     backend: str = field(default_factory=default_backend)
 
     # -- compiler ------------------------------------------------------------
@@ -136,10 +136,8 @@ class SMConfig:
                              % MAX_HW_THREADS)
         if not 0.0 < self.vrf_fraction <= 1.0:
             raise ValueError("vrf_fraction must be in (0, 1]")
-        if self.backend not in ("scalar", "vector", "jit"):
-            raise ValueError(
-                "unknown backend %r (choose scalar, vector or jit)"
-                % (self.backend,))
+        if self.backend not in BACKEND_NAMES:
+            raise unknown_backend_error(self.backend)
         if self.opt not in (0, 1):
             raise ValueError("unknown opt level %r (choose 0 or 1)"
                              % (self.opt,))

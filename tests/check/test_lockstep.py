@@ -65,21 +65,16 @@ def test_in_bounds_access_is_not_a_fault():
 
 
 # ---------------------------------------------------------------------------
-# Divergence-stress micro-kernels (masked compiled regions)
+# Divergence-stress micro-kernels (masked issue on the vector backend)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["vector", "jit"])
-def test_divergence_micro_kernels_lockstep(backend, monkeypatch):
+def test_divergence_micro_kernels_lockstep():
     """The irregular micro-kernels retire in golden-model lockstep on
-    the interpreted and compiled tiers (thresholds lowered so the jit
-    tier's masked region variants actually engage within the run)."""
-    from repro.simt.backend.jit import JITBackend
+    the vector backend."""
     from tests.simt.kernels import branch_ladder, frontier_loop
-    monkeypatch.setattr(JITBackend, "_hot_threshold", 4)
-    monkeypatch.setattr(JITBackend, "_promote_after", 1)
     for prog, regs in (branch_ladder(), frontier_loop()):
         config = SMConfig.baseline(num_warps=2, num_lanes=4).with_(
-            backend=backend)
+            backend="vector")
         stats, checker, fault = check_program(prog, config,
                                               init_regs=regs)
         assert fault is None

@@ -235,12 +235,12 @@ class TestBackendEquivalence:
     ``SMConfig.backend`` selects the execution backend; both must
     produce bit-identical :class:`SMStats` for every benchmark in the
     suite (not a sample — the vector backend's fast paths key off value
-    patterns, so coverage must include every kernel).  The SM-level
-    corner cases live in ``tests/simt/test_backend.py``; this is the
-    end-to-end sweep.
+    patterns, so coverage must include every kernel) and every
+    protection config.  The SM-level corner cases live in
+    ``tests/simt/test_backend.py``; this is the end-to-end sweep.
     """
 
-    @pytest.mark.parametrize("config_name", CONFIGS)
+    @pytest.mark.parametrize("config_name", runner.CONFIG_NAMES)
     @pytest.mark.parametrize("name", sorted(
         __import__("repro.benchsuite", fromlist=["ALL_BENCHMARKS"])
         .ALL_BENCHMARKS))
@@ -257,22 +257,36 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(
         __import__("repro.benchsuite", fromlist=["ALL_BENCHMARKS"])
         .ALL_BENCHMARKS))
-    def test_full_suite_scalar_jit_bit_identical(self, name, config_name,
-                                                 monkeypatch):
-        """The trace-JIT tier across all four protection configs.
+    def test_full_suite_early_regions_bit_identical(self, name,
+                                                    config_name,
+                                                    monkeypatch):
+        """The vector backend's hot-trace regions across the suite.
 
-        Promotion thresholds are lowered so the small test geometry
-        actually compiles regions (otherwise nothing would reach the
-        fused closures and the sweep would only test the vector tier)."""
-        from repro.simt.backend.jit import JITBackend
-        monkeypatch.setattr(JITBackend, "_hot_threshold", 4)
-        monkeypatch.setattr(JITBackend, "_promote_after", 1)
+        The hot threshold is lowered so every kernel's loops fuse within
+        a few trips, including trips under a partial mask; regions then
+        start at other pcs and cover other faults and reconvergence
+        points than at the default threshold.  A spy on
+        ``_build_region`` makes sure every cell really formed one."""
+        from repro.simt.backend.vector import VectorBackend
+        monkeypatch.setattr(VectorBackend, "_hot_threshold", 4)
+        built = []
+        build_region = VectorBackend._build_region
+
+        def spy_build_region(self, *args, **kwargs):
+            region = build_region(self, *args, **kwargs)
+            if region:
+                built.append(region)
+            return region
+
+        monkeypatch.setattr(VectorBackend, "_build_region",
+                            spy_build_region)
         runner.set_disk_cache(False)
         scalar = runner.run_benchmark(name, config_name, backend="scalar",
                                       **GEOMETRY)
-        jit = runner.run_benchmark(name, config_name, backend="jit",
-                                   **GEOMETRY)
-        assert _signature(scalar) == _signature(jit)
+        vector = runner.run_benchmark(name, config_name, backend="vector",
+                                      **GEOMETRY)
+        assert built
+        assert _signature(scalar) == _signature(vector)
 
     def test_multism_scalar_vector_bit_identical(self):
         from repro.nocl import i32

@@ -1,11 +1,15 @@
 """Thread-safety of the runner's stats/memo, and the job-key/probe API
 the simulation service builds on."""
 
+import glob
+import os
+import pickle
 import threading
 
 import pytest
 
 from repro.eval import runner
+from repro.obs.manifest import build_manifest
 
 
 @pytest.fixture()
@@ -64,6 +68,25 @@ class TestJobKeyAndProbe:
         # The probe merges into the memo: a rerun is a memo hit.
         again = runner.run_benchmark("VecAdd", "baseline", **GEOMETRY)
         assert again.stats.as_dict() == ran.stats.as_dict()
+
+    def test_probe_loads_entries_with_retired_meta_fields(
+            self, private_cache):
+        # Cache entries pickled while RunMeta still carried a ``jit``
+        # field restore it as a stray attribute; loading must not care.
+        ran = runner.run_benchmark("VecAdd", "baseline", **GEOMETRY)
+        (path,) = glob.glob(os.path.join(private_cache, "*.pkl"))
+        with open(path, "rb") as stream:
+            old = pickle.load(stream)
+        old.meta.jit = {"compiled_regions": 1, "codegen_seconds": 0.1}
+        with open(path, "wb") as stream:
+            pickle.dump(old, stream)
+        runner.clear_cache()
+        probed = runner.probe_disk("VecAdd", "baseline", **GEOMETRY)
+        assert probed.meta.source == "disk"
+        assert probed.stats.as_dict() == ran.stats.as_dict()
+        manifest = build_manifest({"VecAdd": probed}, "baseline", 1, 0.0)
+        assert set(manifest["benchmarks"]["VecAdd"]) == {
+            "stats", "cache_source", "sim_seconds"}
 
     def test_probe_disabled_with_disk_cache(self, private_cache,
                                             monkeypatch):

@@ -1,7 +1,7 @@
 """Divergence-stress micro-kernels shared across backend test stacks.
 
 Two irregular control-flow shapes that defeat the converged fast paths
-and drive the masked region-variant machinery:
+and drive the vector backend's masked region entries:
 
 - :func:`branch_ladder`: a counted loop whose body forks on each lane's
   own accumulator parity into one of two straight-line mixing blocks,
@@ -14,9 +14,9 @@ and drive the masked region-variant machinery:
   body (load, mix, store, cursor bump) under ever-thinner masks.
 
 Both keep their straight-line blocks long enough (>= 4 instructions)
-to form compiled regions, which makes them the canonical fixtures for
-scalar-vs-vector-vs-jit bit-identity under partial masks and for the
-CI divergence smoke job.
+to form fused regions, which makes them the canonical fixtures for
+scalar-vs-vector bit-identity under partial masks and for the CI
+divergence smoke job.
 """
 
 from repro.isa.instructions import Instr, Op

@@ -7,11 +7,15 @@ pin down:
 
 - instruction slots whose active-lane set shrinks to a single lane or
   whose static instructions never issue at all (a fully-taken branch);
-- divergence and reconvergence across a warp, including the hot-trace
-  region machinery that only engages for converged warps;
+- divergence and reconvergence across a warp;
 - capability faults raised by a strict subset of a warp's lanes;
+- hot straight-line regions, entered full-warp or under a diverged
+  thread group's mask, including a capability fault raised mid-region
+  (same fault, same pinned abort cycle, same statistics);
 - the NumPy wide-SM path (``num_lanes >= 16``), which evaluates ALU ops
-  on uint32 arrays instead of per-lane Python ints.
+  on uint32 arrays instead of per-lane Python ints;
+- backend selection: ``REPRO_BACKEND`` sets the default, an explicit
+  argument wins, and an unknown name is rejected.
 """
 
 from dataclasses import asdict
@@ -21,6 +25,8 @@ import pytest
 from repro.cheri import root_capability
 from repro.isa.instructions import Instr, Op
 from repro.simt import KernelAbort, SMConfig, StreamingMultiprocessor
+from repro.simt.backend import BACKEND_NAMES
+from repro.simt.backend.vector import VectorBackend
 from repro.simt.config import HEAP_BASE
 
 from tests.simt.kernels import branch_ladder, frontier_loop
@@ -71,6 +77,58 @@ def run_both(prog, **kwargs):
 
 def heap_slots(num_threads, base=HEAP_BASE):
     return [base + 4 * t for t in range(num_threads)]
+
+
+@pytest.fixture
+def region_entries(monkeypatch):
+    """Lower the vector backend's hot-region threshold so the tiny loops
+    below fuse within a few trips, and count the region entries it
+    makes: ``full``/``masked`` are back-to-back ``_run_region`` drains
+    for the whole warp or under a thread group's mask, ``prefixes`` the
+    masked entries ``_masked_prefix`` admitted (either scheduler path).
+    Without these counts a region test could pass while never leaving
+    the per-instruction issue path."""
+    monkeypatch.setattr(VectorBackend, "_hot_threshold", 4)
+    entries = {"full": 0, "masked": 0, "prefixes": 0}
+    run_region = VectorBackend._run_region
+    masked_prefix = VectorBackend._masked_prefix
+
+    def spy_run_region(self, warp, steps, cycle, others, max_cycles,
+                       kernel_abort, icounts, lanes=None, mask=0):
+        entries["full" if lanes is None else "masked"] += 1
+        return run_region(self, warp, steps, cycle, others, max_cycles,
+                          kernel_abort, icounts, lanes, mask)
+
+    def spy_masked_prefix(self, warp, lanes, steps):
+        prefix = masked_prefix(self, warp, lanes, steps)
+        if prefix >= 2:
+            entries["prefixes"] += 1
+        return prefix
+
+    monkeypatch.setattr(VectorBackend, "_run_region", spy_run_region)
+    monkeypatch.setattr(VectorBackend, "_masked_prefix", spy_masked_prefix)
+    return entries
+
+
+def _alu_loop(trips=12):
+    """A convergent counted loop with a 4-step straight-line body."""
+    prog = [
+        Instr(Op.ADDI, rd=9, rs1=0, imm=0),
+        Instr(Op.BGE, rs1=9, rs2=5, imm=24),             # loop head
+        Instr(Op.ADD, rd=10, rs1=9, rs2=6),              # region start
+        Instr(Op.XOR, rd=11, rs1=10, rs2=7),
+        Instr(Op.SLLI, rd=12, rs1=11, imm=1),
+        Instr(Op.ADDI, rd=9, rs1=9, imm=1),
+        Instr(Op.JAL, rd=0, imm=-20),
+        Instr(Op.SW, rs1=8, rs2=12, imm=0),
+        Instr(Op.HALT),
+    ]
+    threads = 8
+    regs = {5: [trips] * threads,
+            6: [3] * threads,
+            7: [0x55] * threads,
+            8: heap_slots(threads)}
+    return prog, regs
 
 
 class TestMaskedIssueSlots:
@@ -256,27 +314,29 @@ class TestWideSMNumpyPath:
 
 
 class TestIrregularKernels:
-    """Divergence-stress micro-kernels (shared with the jit stack).
+    """Divergence-stress micro-kernels (shared with the lockstep tests).
 
     Both kernels keep a strict subset of each warp's lanes converged on
     a long straight-line block, so the vector backend's masked region
     entries — not just its per-slot masked issue — carry the run."""
 
-    def test_branch_ladder_bit_identical(self):
-        prog, regs = branch_ladder()
+    def test_branch_ladder_bit_identical(self, region_entries):
+        prog, regs = branch_ladder(trips=24)
         obs = run_both(prog, num_warps=2, num_lanes=4, init_regs=regs)
         assert obs["fault"] is None
         # Every lane rejoined and stored its final accumulator.
         for t in range(8):
             assert (HEAP_BASE + 4 * t) >> 2 in obs["words"]
+        assert region_entries["prefixes"] > 0
 
-    def test_frontier_loop_bit_identical(self):
+    def test_frontier_loop_bit_identical(self, region_entries):
         prog, regs = frontier_loop()
         obs = run_both(prog, num_warps=2, num_lanes=4, init_regs=regs)
         assert obs["fault"] is None
         for t in range(8):
             trips = (3 * t) % 7 + 1
             assert obs["words"][(HEAP_BASE + 0x100 + 4 * t) >> 2] == trips
+        assert region_entries["prefixes"] > 0
 
     def test_frontier_loop_wide_numpy_path(self):
         prog, regs = frontier_loop(threads=16)
@@ -314,3 +374,166 @@ class TestSubWordMemory:
                 signed & 0xFFFFFFFF
             assert obs["words"][(HEAP_BASE + 0x200 + 4 * t) >> 2] == \
                 0x80 + t
+
+
+class TestHotRegions:
+    def test_relaunch_stats_match_scalar(self, region_entries):
+        # Per-launch region state must not leak into simulated
+        # statistics: launch twice on one SM, compare against a scalar
+        # SM doing the same.
+        prog, regs = _alu_loop()
+        per_backend = {}
+        for backend in BACKEND_NAMES:
+            sm = StreamingMultiprocessor(_config("baseline", backend, 2, 4))
+            sm.launch(prog, init_regs=regs)
+            first = asdict(sm.stats)
+            sm.launch(prog, init_regs=regs)
+            per_backend[backend] = (first, asdict(sm.stats))
+        assert per_backend["scalar"] == per_backend["vector"]
+        # Two warps interleave, so the region steps issue one per slot.
+        assert any(sm.backend._regions.values()), \
+            "the loop body never formed a region"
+
+    def test_each_region_builds_once_per_launch(self, region_entries,
+                                                monkeypatch):
+        # The regions-dict entry is the promoted sentinel: once a region
+        # is built, later visits reuse it instead of rebuilding.
+        builds = []
+        build_region = VectorBackend._build_region
+
+        def counting(self, index):
+            builds.append(index)
+            return build_region(self, index)
+
+        monkeypatch.setattr(VectorBackend, "_build_region", counting)
+        prog, regs = _alu_loop(trips=24)
+        sm = StreamingMultiprocessor(_config("baseline", "vector", 2, 4))
+        sm.launch(prog, init_regs=regs)
+        formed = {idx for idx, steps in sm.backend._regions.items() if steps}
+        assert formed, "the loop body never formed a region"
+        assert len(builds) == len(set(builds))
+
+
+def _walk_caps(window_words, trips, num_lanes, bad_lane):
+    """Trip counts and per-lane capabilities for the mid-region fault
+    loops: every lane walks a ``window_words`` window from its start,
+    and ``bad_lane`` starts two words in, so it leaves bounds two trips
+    before the others — still after the region has formed."""
+    cap, exact = root_capability().set_bounds(HEAP_BASE, 4 * window_words)
+    assert exact
+    caps = [cap.set_addr(HEAP_BASE + (8 if t == bad_lane else 0))
+            for t in range(num_lanes)]
+    return {5: [trips] * num_lanes}, {6: caps}
+
+
+class TestMidRegionFault:
+    """A capability fault raised inside a full-warp region drain: same
+    fault kind, same pinned abort cycle, same statistics as the scalar
+    reference — whether every lane faults or just one."""
+
+    def _fault_loop(self, bad_lane=None, window_words=8, trips=12,
+                    num_lanes=4):
+        """A loop whose CLW sits mid-region and walks each lane's
+        capability forward until it leaves bounds."""
+        prog = [
+            Instr(Op.ADDI, rd=9, rs1=0, imm=0),
+            Instr(Op.BGE, rs1=9, rs2=5, imm=24),         # loop head
+            Instr(Op.ADD, rd=10, rs1=9, rs2=9),          # region start
+            Instr(Op.CLW, rd=11, rs1=6, imm=0),          # faults late
+            Instr(Op.CINCOFFSETIMM, rd=6, rs1=6, imm=4),
+            Instr(Op.ADDI, rd=9, rs1=9, imm=1),
+            Instr(Op.JAL, rd=0, imm=-20),
+            Instr(Op.HALT),
+        ]
+        return prog, *_walk_caps(window_words, trips, num_lanes, bad_lane)
+
+    def test_uniform_fault_mid_region(self, region_entries):
+        prog, regs, caps = self._fault_loop()
+        obs = run_both(prog, mode="purecap", num_warps=1,
+                       init_regs=regs, init_cap_regs=caps)
+        assert obs["fault"] is not None
+        assert obs["fault"][0] == "BoundsViolation"
+        assert region_entries["full"] > 0
+
+    def test_single_lane_fault_mid_region(self, region_entries):
+        prog, regs, caps = self._fault_loop(bad_lane=2)
+        obs = run_both(prog, mode="purecap", num_warps=1,
+                       init_regs=regs, init_cap_regs=caps)
+        assert obs["fault"] is not None
+        assert obs["fault"][0] == "BoundsViolation"
+        assert region_entries["full"] > 0
+
+    def test_clean_when_window_covers_the_walk(self, region_entries):
+        prog, regs, caps = self._fault_loop(window_words=16, trips=12)
+        obs = run_both(prog, mode="purecap", num_warps=1,
+                       init_regs=regs, init_cap_regs=caps)
+        assert obs["fault"] is None
+        assert region_entries["full"] > 0
+
+
+class TestMaskedMidRegionFault:
+    """The same faults raised inside a *masked* region drain: one lane
+    parks on HALT, so the remaining thread group walks the loop under a
+    partial mask."""
+
+    def _masked_fault_loop(self, bad_lane=None, window_words=8, trips=12,
+                           num_lanes=4, parked_lane=3):
+        prog = [
+            Instr(Op.BNE, rs1=12, rs2=0, imm=32),        # parked lane out
+            Instr(Op.ADDI, rd=9, rs1=0, imm=0),
+            Instr(Op.BGE, rs1=9, rs2=5, imm=28),         # loop head
+            Instr(Op.ADD, rd=10, rs1=9, rs2=9, depth=1),  # region start
+            Instr(Op.CLW, rd=11, rs1=6, imm=0, depth=1),  # faults late
+            Instr(Op.CINCOFFSETIMM, rd=6, rs1=6, imm=4, depth=1),
+            Instr(Op.ADDI, rd=9, rs1=9, imm=1, depth=1),
+            Instr(Op.JAL, rd=0, imm=-20, depth=1),       # -> loop head
+            Instr(Op.HALT),                              # parked lane
+            Instr(Op.HALT),                              # loop exit
+        ]
+        regs, caps = _walk_caps(window_words, trips, num_lanes, bad_lane)
+        regs[12] = [1 if t == parked_lane else 0 for t in range(num_lanes)]
+        return prog, regs, caps
+
+    def test_uniform_masked_fault(self, region_entries):
+        prog, regs, caps = self._masked_fault_loop()
+        obs = run_both(prog, mode="purecap", num_warps=1,
+                       init_regs=regs, init_cap_regs=caps)
+        assert obs["fault"] is not None
+        assert obs["fault"][0] == "BoundsViolation"
+        assert region_entries["masked"] > 0
+
+    def test_single_lane_masked_fault(self, region_entries):
+        prog, regs, caps = self._masked_fault_loop(bad_lane=1)
+        obs = run_both(prog, mode="purecap", num_warps=1,
+                       init_regs=regs, init_cap_regs=caps)
+        assert obs["fault"] is not None
+        assert obs["fault"][0] == "BoundsViolation"
+        assert region_entries["masked"] > 0
+
+    def test_clean_masked_walk(self, region_entries):
+        prog, regs, caps = self._masked_fault_loop(window_words=16)
+        obs = run_both(prog, mode="purecap", num_warps=1,
+                       init_regs=regs, init_cap_regs=caps)
+        assert obs["fault"] is None
+        assert region_entries["masked"] > 0
+        assert region_entries["full"] == 0
+
+
+class TestBackendSelection:
+    def test_env_var_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
+        assert SMConfig.baseline().backend == "scalar"
+        # An explicit argument still wins.
+        assert SMConfig.baseline(backend="vector").backend == "vector"
+
+    def test_unknown_backend_names_the_valid_choices(self, monkeypatch):
+        retired = "jit"  # a deleted tier: old scripts may still ask for it
+        with pytest.raises(ValueError) as explicit:
+            SMConfig.baseline(backend=retired)
+        monkeypatch.setenv("REPRO_BACKEND", retired)
+        with pytest.raises(ValueError) as from_env:
+            SMConfig.baseline()
+        for info in (explicit, from_env):
+            message = str(info.value)
+            assert repr(retired) in message
+            assert all(name in message for name in ("scalar", "vector"))
