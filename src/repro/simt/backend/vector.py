@@ -38,6 +38,9 @@ bit-identical in every simulated statistic, probe event and fault.  This
 is enforced by the equivalence tests and ``repro lockstep``.
 """
 
+import operator
+import struct
+
 from repro.cheri.capability import Capability, Perms
 from repro.cheri import concentrate
 from repro.cheri.exceptions import CapabilityFault
@@ -94,6 +97,44 @@ if _np is not None:
     _NP_RR = {alu.INT_FNS[k]: k for k in (
         "add", "sub", "xor", "or", "and", "sll", "srl", "sra",
         "slt", "sltu", "mul")}
+
+#: binary32 arithmetic the batched float path evaluates, keyed by the
+#: (unpatched) per-lane function it must match bit for bit.
+_F32_ARITH = {alu._f_fadd: operator.add, alu._f_fsub: operator.sub,
+              alu._f_fmul: operator.mul}
+
+#: A double of at least this magnitude rounds to binary32 infinity (the
+#: midpoint between FLT_MAX and 2**128 ties to the even infinity), which
+#: struct's ``f`` format rejects with OverflowError.
+_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
+
+#: Lane count -> (``<nI`` struct, ``<nf`` struct), built on first use.
+_F32_STRUCTS = {}
+
+
+def _f32_lanes(op, a, b, num_lanes):
+    """Per-lane binary32 ``op`` over bit-pattern lists ``a`` and ``b``:
+    bit-identical to the per-lane ``alu._f_*`` function ``op`` stands for.
+
+    Both operand lists convert to doubles in one struct round trip, and
+    the results repack in one more.  A NaN, infinite or overflowing lane
+    (caught by one C-level sum, which is NaN or at least the overflow
+    threshold exactly then) sends the batch through ``alu._pack_arith``
+    lane by lane, which canonicalises NaNs and saturates overflow.
+    """
+    structs = _F32_STRUCTS.get(num_lanes)
+    if structs is None:
+        structs = (struct.Struct("<%dI" % num_lanes),
+                   struct.Struct("<%df" % num_lanes))
+        _F32_STRUCTS[num_lanes] = structs
+    as_bits, as_f32 = structs
+    out = list(map(op, as_f32.unpack(as_bits.pack(*a)),
+                   as_f32.unpack(as_bits.pack(*b))))
+    if sum(map(abs, out)) < _F32_OVERFLOW:
+        return list(as_bits.unpack(as_f32.pack(*out)))
+    pack = alu._pack_arith
+    return [pack(v) for v in out]
+
 
 # Original (unpatched) capability-op lambdas, captured at import for the
 # identity checks guarding semantics-specific fast paths.  A test that
@@ -309,11 +350,13 @@ class VectorBackend(ScalarBackend):
             return
         sm = self.sm
         windex = warp.index
+        key = (windex << 8) | reg
         gp = sm.gp
         report = gp.write(windex, reg, values, mask)
         if report.spills or report.reloads:
             sm._account_rf(report)
-        if gp.is_uncompressed(windex, reg):
+        # Residency from the stored entry's type, as in sm._write_rd.
+        if type(gp._entries[key]) is _Vector:
             sm._gp_vec_touch = True
         meta = sm.meta
         if tagged:
@@ -321,7 +364,8 @@ class VectorBackend(ScalarBackend):
         report = meta.write(windex, reg, metas, mask)
         if report.spills or report.reloads:
             sm._account_rf(report)
-        if meta.is_uncompressed(windex, reg):
+        t = type(meta._entries[key])
+        if t is _Vector or t is list:
             sm._meta_vec_touch = True
 
     # ------------------------------------------------------------------
@@ -550,7 +594,9 @@ class VectorBackend(ScalarBackend):
 
     # ------------------------------------------------------------------
     # Floating point.  No NumPy here: the uniform path calls the scalar
-    # function once, keeping NaN payloads and rounding bit-exact.
+    # function once, and full-mask add/sub/mul lanes round through the
+    # same struct conversions as the scalar function (_f32_lanes), so
+    # NaN results and rounding stay bit-exact.
     # ------------------------------------------------------------------
 
     def _v_float_rr(self, warp, instr, pc, lanes, mask, aux):
@@ -572,7 +618,11 @@ class VectorBackend(ScalarBackend):
             a = _expand(f1, num_lanes)
             b = _expand(f2, num_lanes)
             if full:
-                values = [fn(a[i], b[i]) for i in range(num_lanes)]
+                op = _F32_ARITH.get(fn)
+                if op is not None:
+                    values = _f32_lanes(op, a, b, num_lanes)
+                else:
+                    values = [fn(a[i], b[i]) for i in range(num_lanes)]
             else:
                 values = [0] * num_lanes
                 for lane in lanes:
@@ -1336,7 +1386,7 @@ class VectorBackend(ScalarBackend):
                 if fn is _FN_CINCOFFSET or fn is _FN_CSETADDR:
                     nb = ((f1.base + f2.base if fn is _FN_CINCOFFSET
                            else f2.base) & MASK32)
-                    res = self._uniform_addr_meta(m, f1.base, nb)
+                    res = self._addr_move_meta(m, f1.base, f1.base, nb, nb)
                     if res is not None:
                         self._write_rd_cap_any(warp, instr.rd,
                                                _Scalar(nb, 0), mask, full,
@@ -1370,9 +1420,29 @@ class VectorBackend(ScalarBackend):
                     sm._sfu_cheri_issue(lanes)
                 sm._advance(warp, lanes, pc + 4)
                 return
+        num_lanes = sm._num_lanes
+        b = _expand(f2, num_lanes)
+        if (fn is _FN_CINCOFFSET or fn is _FN_CSETADDR) and \
+                type(meta_f) is _Scalar and meta_f.stride == 0:
+            # Per-lane address arithmetic on uniform metadata (base + idx
+            # under any rs2 form or mask), decided by the k-windows of
+            # the active lanes' lowest and highest addresses.
+            if fn is _FN_CSETADDR:
+                news = [v & MASK32 for v in b]
+            elif type(f1) is _Scalar and f1.stride == 0:
+                a = f1.base
+                news = [(a + v) & MASK32 for v in b]
+            else:
+                a = _expand(f1, num_lanes)
+                news = [(a[i] + b[i]) & MASK32 for i in range(num_lanes)]
+            if self._set_addr_lanes(warp, instr.rd, lanes, mask, meta_f.base,
+                                    f1, news):
+                if slow:
+                    sm._sfu_cheri_issue(lanes)
+                sm._advance(warp, lanes, pc + 4)
+                return
         return self._cmod2_core(warp, instr, pc, lanes, mask, fn, slow,
-                                self._forms_to_caps(f1, meta_f),
-                                _expand(f2, sm._num_lanes))
+                                self._forms_to_caps(f1, meta_f), b)
 
     def _v_cimm(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -1386,7 +1456,7 @@ class VectorBackend(ScalarBackend):
             if f1.stride == 0:
                 if fn is _FN_CINCOFFSETIMM:
                     nb = (f1.base + imm) & MASK32
-                    res = self._uniform_addr_meta(m, f1.base, nb)
+                    res = self._addr_move_meta(m, f1.base, f1.base, nb, nb)
                     if res is not None:
                         self._write_rd_cap_any(warp, instr.rd,
                                                _Scalar(nb, 0), mask, full,
@@ -1410,27 +1480,78 @@ class VectorBackend(ScalarBackend):
                     sm._sfu_cheri_issue(lanes)
                 sm._advance(warp, lanes, pc + 4)
                 return
+        if fn is _FN_CINCOFFSETIMM and type(meta_f) is _Scalar and \
+                meta_f.stride == 0:
+            # Per-lane addresses (a vector, or affine under a partial
+            # mask) on uniform metadata.
+            news = [(v + imm) & MASK32
+                    for v in _expand(f1, sm._num_lanes)]
+            if self._set_addr_lanes(warp, instr.rd, lanes, mask, meta_f.base,
+                                    f1, news):
+                if slow:
+                    sm._sfu_cheri_issue(lanes)
+                sm._advance(warp, lanes, pc + 4)
+                return
         return self._cimm_core(warp, instr, pc, lanes, mask, fn, imm, slow,
                                self._forms_to_caps(f1, meta_f))
 
-    def _uniform_addr_meta(self, meta_val, old_addr, new_addr):
-        """Result (meta word incl. tag bit, tag) of a uniform
-        setAddr/incOffset, or None when the move leaves the *k*-window
-        (the exact Capability path must decide representability).
+    def _addr_move_meta(self, meta_val, ref_lo, ref_hi, new_lo, new_hi):
+        """Result (meta word incl. tag bit, tag) of setAddr/incOffset on
+        a capability with uniform metadata ``meta_val`` that moves lane
+        addresses in [ref_lo, ref_hi] to addresses in [new_lo, new_hi]
+        (all in [0, 2**32)), or None when the exact per-lane
+        representability check must decide.
 
-        Mirrors :meth:`_set_addr_window`'s three cases for a single
-        address: untagged keeps meta and (cleared) tag; sealed keeps the
-        meta word but clears the tag; tagged-unsealed keeps everything
-        when old and new address share one *k*-window.
+        setAddr never changes the metadata word, only the tag: untagged
+        keeps meta and (cleared) tag; sealed keeps the meta word but
+        clears the tag; tagged-unsealed keeps everything when every old
+        and new address shares one *k*-window, because the bounds decode
+        is a function of *k* alone (and *k* is monotonic in the address,
+        so the range ends decide for every lane in between).
         """
         tag, otype, _perms, _bounds, exp, r = self._cap_info(meta_val)
         if not tag:
             return meta_val, False
         if otype != 0:
             return meta_val & MASK32, False
-        if ((old_addr >> exp) - r) >> 8 != ((new_addr >> exp) - r) >> 8:
+        k = ((ref_lo >> exp) - r) >> 8
+        if ((ref_hi >> exp) - r) >> 8 != k or \
+                ((new_lo >> exp) - r) >> 8 != k or \
+                ((new_hi >> exp) - r) >> 8 != k:
             return None
         return meta_val, True
+
+    def _set_addr_lanes(self, warp, rd, lanes, mask, meta_val, ref_form,
+                        news):
+        """setAddr/incOffset with per-lane results under any mask.
+
+        ``ref_form`` holds the source addresses and ``news`` the new
+        addresses (a full lane list, already mod 2**32; inactive
+        positions are ignored).  Writes rd and returns True when
+        :meth:`_addr_move_meta` decides every active lane; returns False,
+        having written nothing, so the caller can replay the exact
+        per-lane path.
+        """
+        sm = self.sm
+        num_lanes = sm._num_lanes
+        if mask == sm._full_mask:
+            active = news
+        else:
+            active = [news[lane] for lane in lanes]
+        if type(ref_form) is _Scalar and ref_form.stride == 0:
+            ref_lo = ref_hi = ref_form.base
+        else:
+            olds = _expand(ref_form, num_lanes)
+            olds = [olds[lane] for lane in lanes]
+            ref_lo = min(olds)
+            ref_hi = max(olds)
+        res = self._addr_move_meta(meta_val, ref_lo, ref_hi, min(active),
+                                   max(active))
+        if res is None:
+            return False
+        self._write_rd_raw(warp, rd, news, mask, [res[0]] * num_lanes,
+                           res[1])
+        return True
 
     def _set_addr_window(self, warp, rd, meta_val, ref_form, new_base,
                          new_stride):
@@ -1441,24 +1562,15 @@ class VectorBackend(ScalarBackend):
         lane's reference and new address share one *k*-window, each
         lane's bounds decode is unchanged, so every lane stays
         representable with an unchanged metadata word — no per-lane
-        Capability is needed.  Returns True when the fast path applied
-        (result written), False to fall back to the exact per-lane path.
+        Capability is needed (:meth:`_addr_move_meta` decides, untagged
+        and sealed sources included).  Returns True when the fast path
+        applied (result written), False to fall back to the per-lane
+        paths.
         """
-        sm = self.sm
-        num_lanes = sm._num_lanes
+        num_lanes = self.sm._num_lanes
         out = _affine(new_base, new_stride, num_lanes)
         if out is None:
             return False
-        tag, otype, _perms, _bounds, exp, r = self._cap_info(meta_val)
-        if not tag:
-            # Untagged: set_addr keeps the (cleared) tag and meta word.
-            self._write_rd_cap_form(warp, rd, out, meta_val)
-            return True
-        if otype != 0:
-            # Sealed capabilities are address-immutable: tag cleared,
-            # meta word kept.
-            self._write_rd_cap_form(warp, rd, out, meta_val & MASK32)
-            return True
         span_ref = (num_lanes - 1) * ref_form.stride
         ref_lo = ref_form.base + (span_ref if ref_form.stride < 0 else 0)
         ref_hi = ref_form.base + (span_ref if ref_form.stride > 0 else 0)
@@ -1466,13 +1578,12 @@ class VectorBackend(ScalarBackend):
         new_lo = out.base + (span_new if out.stride < 0 else 0)
         new_hi = out.base + (span_new if out.stride > 0 else 0)
         if ref_lo < 0 or ref_hi > MASK32 or new_lo < 0 or new_hi > MASK32:
+            # Wrapping lanes: the ranges no longer bracket every lane.
             return False
-        k = ((ref_lo >> exp) - r) >> 8
-        if (((ref_hi >> exp) - r) >> 8) != k or \
-                (((new_lo >> exp) - r) >> 8) != k or \
-                (((new_hi >> exp) - r) >> 8) != k:
+        res = self._addr_move_meta(meta_val, ref_lo, ref_hi, new_lo, new_hi)
+        if res is None:
             return False
-        self._write_rd_cap_form(warp, rd, out, meta_val)
+        self._write_rd_cap_form(warp, rd, out, res[0])
         return True
 
     # ------------------------------------------------------------------

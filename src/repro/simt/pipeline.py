@@ -43,7 +43,7 @@ from repro.simt.backend import create_backend
 from repro.simt.coalescer import coalesce
 from repro.simt.config import SMConfig
 from repro.simt.regfile import CompressedRegFile, PlainRegFile, SlotPool
-from repro.simt.regfile.compressed import _NULL_SCALAR, _Scalar
+from repro.simt.regfile.compressed import _NULL_SCALAR, _Scalar, _Vector
 from repro.simt.scratchpad import Scratchpad
 from repro.simt.sfu import SharedFunctionUnit
 from repro.simt.stackcache import StackCache
@@ -423,11 +423,14 @@ class StreamingMultiprocessor:
         if reg is None or reg == 0:
             return
         windex = warp.index
+        key = (windex << 8) | reg
         gp = self.gp
         report = gp.write(windex, reg, values, mask)
         if report.spills or report.reloads:
             self._account_rf(report)
-        if gp.is_uncompressed(windex, reg):
+        # A register just written is never spilled, so the stored
+        # entry's type alone says whether it lives uncompressed.
+        if type(gp._entries[key]) is _Vector:
             self._gp_vec_touch = True
         meta = self.meta
         if meta is None:
@@ -441,7 +444,7 @@ class StreamingMultiprocessor:
                 if self._meta_plain:
                     self._meta_vec_touch = True
                 return
-            entry = meta._entries.get((windex << 8) | reg)
+            entry = meta._entries.get(key)
             if entry is None or (type(entry) is _Scalar and
                                  entry.base == 0 and entry.stride == 0):
                 # Masked null write over an already-null register: the
@@ -467,7 +470,8 @@ class StreamingMultiprocessor:
         report = meta.write(windex, reg, metas, mask)
         if report.spills or report.reloads:
             self._account_rf(report)
-        if meta.is_uncompressed(windex, reg):
+        t = type(meta._entries[key])
+        if t is _Vector or t is list:
             self._meta_vec_touch = True
 
     def _account_rf(self, report):

@@ -259,7 +259,12 @@ class CompressedRegFile:
         key = (warp << 8) | reg
         entry = self._entries.get(key)
         if active_mask is None or active_mask == self._wmask:
-            merged = [v & value_mask for v in values]
+            # Compress the caller's list as is unless a lane is out of
+            # width; it is copied below only if stored as a vector.
+            if max(values) > value_mask or min(values) < 0:
+                merged = [v & value_mask for v in values]
+            else:
+                merged = values
             if type(entry) is _Spilled:
                 # Fully overwritten: the spilled copy is dead, no reload.
                 entry = None
@@ -305,6 +310,9 @@ class CompressedRegFile:
                 self.pool.release(self, warp, reg)
             self._entries[key] = compact
             return report if report is not None else _NO_REPORT
+        if merged is values:
+            # A stored vector must not alias the caller's list.
+            merged = list(values)
         if type(entry) is _Vector:
             entry.values = merged
             return report if report is not None else _NO_REPORT

@@ -14,18 +14,25 @@ pin down:
   (same fault, same pinned abort cycle, same statistics);
 - the NumPy wide-SM path (``num_lanes >= 16``), which evaluates ALU ops
   on uint32 arrays instead of per-lane Python ints;
+- per-lane capability address arithmetic from uniform metadata, decided
+  by the *k*-window compare (in-window, one lane leaving it, untagged
+  and sealed sources, CSetAddr, CIncOffsetImm, masked entries), and the
+  batched binary32 add/sub/mul against the per-lane alu functions;
 - backend selection: ``REPRO_BACKEND`` sets the default, an explicit
   argument wins, and an unknown name is rejected.
 """
 
+import operator
+import random
 from dataclasses import asdict
 
 import pytest
 
 from repro.cheri import root_capability
 from repro.isa.instructions import Instr, Op
-from repro.simt import KernelAbort, SMConfig, StreamingMultiprocessor
-from repro.simt.backend import BACKEND_NAMES
+from repro.simt import KernelAbort, SMConfig, StreamingMultiprocessor, alu
+from repro.simt.backend import BACKEND_NAMES, vector
+from repro.simt.backend.scalar import ScalarBackend
 from repro.simt.backend.vector import VectorBackend
 from repro.simt.config import HEAP_BASE
 
@@ -41,7 +48,8 @@ def _config(mode, backend, num_warps, num_lanes, **kwargs):
 
 def _run_one(backend, prog, mode="baseline", num_warps=2, num_lanes=4,
              init_regs=None, init_cap_regs=None, setup=None, **kwargs):
-    """One backend's view of a launch: stats, memory, tags, fault."""
+    """One backend's view of a launch: stats, memory, tags, registers,
+    fault."""
     sm = StreamingMultiprocessor(
         _config(mode, backend, num_warps, num_lanes, **kwargs))
     if setup is not None:
@@ -52,16 +60,25 @@ def _run_one(backend, prog, mode="baseline", num_warps=2, num_lanes=4,
     except KernelAbort as abort:
         cause = abort.cause
         fault = (type(cause).__name__, str(cause))
+    regs = {}
+    for w in range(sm.cfg.num_warps):
+        for r in range(1, 32):
+            regs[(w, r)] = (sm.gp.peek(w, r),
+                            sm.meta.peek(w, r) if sm.meta is not None
+                            else None)
     return {
         "stats": asdict(sm.stats),
         "words": dict(sm.memory._words),
         "tags": set(sm.memory._tags),
+        "regs": regs,
         "fault": fault,
     }
 
 
 def run_both(prog, **kwargs):
-    """Run on both backends and assert every observable matches.
+    """Run on both backends and assert every observable matches
+    (statistics, memory, tags, fault, and every register's values and
+    metadata).
 
     Returns the scalar observation so tests can make additional
     assertions about what actually happened.
@@ -71,6 +88,7 @@ def run_both(prog, **kwargs):
     assert scalar["fault"] == vector["fault"]
     assert scalar["words"] == vector["words"]
     assert scalar["tags"] == vector["tags"]
+    assert scalar["regs"] == vector["regs"]
     assert scalar["stats"] == vector["stats"]
     return scalar
 
@@ -537,3 +555,267 @@ class TestBackendSelection:
             message = str(info.value)
             assert repr(retired) in message
             assert all(name in message for name in ("scalar", "vector"))
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """Count the vector backend's replays of the per-lane capability
+    path (``_cmod2_core`` / ``_cimm_core``); the scalar backend always
+    runs it and is not counted."""
+    calls = {"cmod2": 0, "cimm": 0}
+    cmod2_core = ScalarBackend._cmod2_core
+    cimm_core = ScalarBackend._cimm_core
+
+    def spy_cmod2(self, *args):
+        if isinstance(self, VectorBackend):
+            calls["cmod2"] += 1
+        return cmod2_core(self, *args)
+
+    def spy_cimm(self, *args):
+        if isinstance(self, VectorBackend):
+            calls["cimm"] += 1
+        return cimm_core(self, *args)
+
+    monkeypatch.setattr(ScalarBackend, "_cmod2_core", spy_cmod2)
+    monkeypatch.setattr(ScalarBackend, "_cimm_core", spy_cimm)
+    return calls
+
+
+def _rd(obs, reg, warp=0):
+    """(addresses, [(meta word, tag)]) of a register after the run."""
+    values, metas = obs["regs"][(warp, reg)]
+    return values, [(m & 0xFFFFFFFF, m >> 32) for m in metas]
+
+
+class TestPerLaneCapAddress:
+    """CIncOffset/CSetAddr/CIncOffsetImm from one capability with
+    uniform metadata to per-lane addresses (``base + idx``).  The vector
+    backend decides each lane with the *k*-window compare; a lane that
+    leaves the window sends the whole instruction, before any write,
+    through the exact per-lane path."""
+
+    LANES = 4
+    #: Per-lane offsets that no affine form covers (the rs2 register is
+    #: VRF-resident).
+    OFFSETS = [8, 0, 12, 4]
+    #: Far enough to leave the 64-byte capability's k-window.
+    FAR = 0x1000
+
+    def _cap(self):
+        cap, exact = root_capability().set_bounds(HEAP_BASE, 64)
+        assert exact
+        return cap
+
+    def _run(self, prog, regs, caps, **kwargs):
+        return run_both(prog, mode="purecap", num_warps=1,
+                        num_lanes=self.LANES, init_regs=regs,
+                        init_cap_regs=caps, **kwargs)
+
+    def test_offsets_inside_the_window(self, core_calls):
+        cap = self._cap()
+        prog = [
+            Instr(Op.CINCOFFSET, rd=7, rs1=6, rs2=5),
+            Instr(Op.CLW, rd=8, rs1=7, imm=0),
+            Instr(Op.HALT),
+        ]
+        obs = self._run(prog, {5: self.OFFSETS}, {6: cap})
+        assert obs["fault"] is None
+        addrs, metas = _rd(obs, 7)
+        assert addrs == [HEAP_BASE + o for o in self.OFFSETS]
+        assert metas == [(cap.meta_word(), 1)] * self.LANES
+        assert core_calls["cmod2"] == 0
+
+    def test_one_lane_leaves_the_window(self, core_calls):
+        cap = self._cap()
+        offsets = list(self.OFFSETS)
+        offsets[2] = self.FAR
+        prog = [Instr(Op.CINCOFFSET, rd=7, rs1=6, rs2=5), Instr(Op.HALT)]
+        obs = self._run(prog, {5: offsets}, {6: cap})
+        addrs, metas = _rd(obs, 7)
+        assert addrs == [HEAP_BASE + o for o in offsets]
+        # Only the far lane loses its tag; the metadata word survives.
+        assert [tag for _m, tag in metas] == [1, 1, 0, 1]
+        assert {m for m, _tag in metas} == {cap.meta_word()}
+        assert core_calls["cmod2"] == 1
+
+    @pytest.mark.parametrize("source", ["untagged", "sealed"])
+    def test_untagged_and_sealed_sources(self, core_calls, source):
+        cap = self._cap()
+        cap = cap.with_tag_cleared() if source == "untagged" \
+            else cap.seal_entry()
+        offsets = list(self.OFFSETS)
+        offsets[2] = self.FAR  # decided without the window compare
+        prog = [Instr(Op.CINCOFFSET, rd=7, rs1=6, rs2=5), Instr(Op.HALT)]
+        obs = self._run(prog, {5: offsets}, {6: cap})
+        addrs, metas = _rd(obs, 7)
+        assert addrs == [HEAP_BASE + o for o in offsets]
+        assert metas == [(cap.meta_word(), 0)] * self.LANES
+        assert core_calls["cmod2"] == 0
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_csetaddr(self, core_calls, far):
+        cap = self._cap()
+        targets = [HEAP_BASE + o for o in self.OFFSETS]
+        if far:
+            targets[0] = HEAP_BASE - self.FAR
+        prog = [Instr(Op.CSETADDR, rd=7, rs1=6, rs2=5), Instr(Op.HALT)]
+        obs = self._run(prog, {5: targets}, {6: cap})
+        addrs, metas = _rd(obs, 7)
+        assert addrs == targets
+        assert [tag for _m, tag in metas] == [0 if far else 1] + [1] * 3
+        assert core_calls["cmod2"] == (1 if far else 0)
+
+    @pytest.mark.parametrize("imm", [4, 2000])
+    def test_cincoffsetimm_on_per_lane_addresses(self, core_calls, imm):
+        cap = self._cap()
+        caps = [cap.set_addr(HEAP_BASE + o) for o in self.OFFSETS]
+        prog = [Instr(Op.CINCOFFSETIMM, rd=7, rs1=6, imm=imm),
+                Instr(Op.HALT)]
+        obs = self._run(prog, {}, {6: caps})
+        addrs, metas = _rd(obs, 7)
+        assert addrs == [HEAP_BASE + o + imm for o in self.OFFSETS]
+        inside = imm < 64
+        assert metas == [(cap.meta_word(), int(inside))] * self.LANES
+        assert core_calls["cimm"] == (0 if inside else 1)
+
+    @pytest.mark.parametrize("rs2_lanes", [
+        [0, 4, 8, 12],            # affine rs2 under a partial mask
+        [8, 0, 12, 4],            # VRF-resident rs2 under a partial mask
+        [8, 0, 0x1000, 4],        # an active lane leaves the window
+    ])
+    def test_masked_entry(self, core_calls, rs2_lanes):
+        # Lane 1 branches straight to HALT; lanes 0, 2 and 3 run the
+        # CIncOffset under a partial mask, over an rd whose inactive
+        # lane must keep its old value and metadata.
+        cap = self._cap()
+        prog = [
+            Instr(Op.BNE, rs1=12, rs2=0, imm=8),
+            Instr(Op.CINCOFFSET, rd=7, rs1=6, rs2=5, depth=1),
+            Instr(Op.HALT),
+        ]
+        regs = {5: rs2_lanes, 12: [0, 1, 0, 0]}
+        old = cap.set_addr(HEAP_BASE + 40)
+        obs = self._run(prog, regs, {6: cap, 7: old})
+        addrs, metas = _rd(obs, 7)
+        assert addrs[1] == HEAP_BASE + 40
+        for lane in (0, 2, 3):
+            assert addrs[lane] == HEAP_BASE + rs2_lanes[lane]
+        far = self.FAR in rs2_lanes
+        assert [tag for _m, tag in metas] == [1, 1, 0 if far else 1, 1]
+        assert core_calls["cmod2"] == (1 if far else 0)
+
+
+#: binary32 bit patterns that stress the batched float path.
+_F32_SPECIALS = [
+    0x00000000, 0x80000000,                  # +0.0, -0.0
+    0x7F800000, 0xFF800000,                  # +inf, -inf
+    0x7FC00000, 0x7FC00001, 0xFFC12345,      # quiet NaNs with payloads
+    0x7F800001, 0xFFBFFFFF,                  # signalling NaNs
+    0x00000001, 0x807FFFFF, 0x00400000,      # subnormals
+    0x00800000, 0x80800000,                  # smallest normals
+    0x7F7FFFFF, 0xFF7FFFFF,                  # +-FLT_MAX
+    0x7F000000, 0x73000000, 0x72800000,      # 2**127, 2**103, 2**102
+    0x3F800000, 0xBF800000, 0x3F000000,      # 1.0, -1.0, 0.5
+    0x4B800000, 0x34000000,                  # 2**24, 2**-23
+]
+
+
+def _per_lane(fn, a, b):
+    return [fn(x, y) for x, y in zip(a, b)]
+
+
+class TestF32Lanes:
+    """The batched binary32 add/sub/mul must equal the per-lane alu
+    functions bit for bit, lane by lane."""
+
+    FNS = [alu._f_fadd, alu._f_fsub, alu._f_fmul]
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 32])
+    @pytest.mark.parametrize("fn", FNS, ids=["fadd", "fsub", "fmul"])
+    def test_batches_match_per_lane(self, n, fn):
+        op = vector._F32_ARITH[fn]
+        rng = random.Random(0xF32 + n)
+        specials = _F32_SPECIALS
+        for trial in range(400):
+            kind = trial % 4
+            if kind == 0:
+                # Ordinary values: the single-round-trip path.
+                a = [alu.f32_to_bits(rng.uniform(-1e6, 1e6))
+                     for _ in range(n)]
+                b = [alu.f32_to_bits(rng.uniform(-1e6, 1e6))
+                     for _ in range(n)]
+            elif kind == 1:
+                a = [rng.getrandbits(32) for _ in range(n)]
+                b = [rng.getrandbits(32) for _ in range(n)]
+            elif kind == 2:
+                a = [rng.choice(specials) for _ in range(n)]
+                b = [rng.choice(specials) for _ in range(n)]
+            else:
+                # One special lane in an ordinary batch.
+                a = [alu.f32_to_bits(rng.uniform(-8.0, 8.0))
+                     for _ in range(n)]
+                b = [alu.f32_to_bits(rng.uniform(-8.0, 8.0))
+                     for _ in range(n)]
+                lane = rng.randrange(n)
+                a[lane] = rng.choice(specials)
+                b[lane] = rng.choice(specials)
+            assert vector._f32_lanes(op, a, b, n) == _per_lane(fn, a, b)
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 32])
+    def test_overflowing_and_nan_lanes(self, n):
+        fmax = 0x7F7FFFFF
+        cases = [
+            # (fn, a lane, b lane): overflow on pack, the tie just at the
+            # overflow threshold, just below it, and NaN results.
+            (alu._f_fadd, fmax, fmax),
+            (alu._f_fadd, fmax, 0x73000000),     # FLT_MAX + 2**103: inf
+            (alu._f_fadd, fmax, 0x72800000),     # FLT_MAX + 2**102: FLT_MAX
+            (alu._f_fsub, 0xFF7FFFFF, fmax),
+            (alu._f_fmul, fmax, 0x40000000),     # FLT_MAX * 2
+            (alu._f_fmul, 0x7F000000, 0xFF000000),
+            (alu._f_fsub, 0x7F800000, 0x7F800000),   # inf - inf
+            (alu._f_fmul, 0x00000000, 0xFF800000),   # 0 * -inf
+            (alu._f_fadd, 0x7FC00001, 0x3F800000),   # NaN payload
+            (alu._f_fmul, 0x00000001, 0x00000001),   # underflow to 0
+        ]
+        for fn, x, y in cases:
+            op = vector._F32_ARITH[fn]
+            for lane in range(n):
+                a = [0x3F800000] * n
+                b = [0x40000000 + i for i in range(n)]
+                a[lane] = x
+                b[lane] = y
+                out = vector._f32_lanes(op, a, b, n)
+                assert out == _per_lane(fn, a, b)
+        assert vector._f32_lanes(operator.add, [0x7FC00001] * n,
+                                 [0x3F800000] * n, n) == \
+            [alu._CANONICAL_NAN] * n
+
+    @pytest.mark.parametrize("op", [Op.FADD_S, Op.FSUB_S, Op.FMUL_S])
+    def test_pipeline_uses_the_batch(self, monkeypatch, op):
+        # Full-mask float ops on VRF-resident operands go through
+        # _f32_lanes and leave the same registers as the scalar path.
+        batches = []
+        f32_lanes = vector._f32_lanes
+
+        def spy(*args):
+            batches.append(args[3])
+            return f32_lanes(*args)
+
+        monkeypatch.setattr(vector, "_f32_lanes", spy)
+        lanes = 8
+        a = [0x3F800000, 0x7F7FFFFF, 0x7FC00001, 0x80000000,
+             0x00000001, 0x4B800000, 0xFF800000, 0x3E99999A]
+        b = [0x40490FDB, 0x7F7FFFFF, 0x3F800000, 0x00000000,
+             0x80000001, 0x3F800000, 0x7F800000, 0xC0000000]
+        prog = [
+            Instr(op, rd=7, rs1=5, rs2=6),
+            Instr(Op.SW, rs1=8, rs2=7, imm=0),
+            Instr(Op.HALT),
+        ]
+        obs = run_both(prog, num_warps=1, num_lanes=lanes,
+                       init_regs={5: a, 6: b, 8: heap_slots(lanes)})
+        fn = {Op.FADD_S: alu._f_fadd, Op.FSUB_S: alu._f_fsub,
+              Op.FMUL_S: alu._f_fmul}[op]
+        assert obs["regs"][(0, 7)][0] == _per_lane(fn, a, b)
+        assert batches == [lanes]

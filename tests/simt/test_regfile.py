@@ -1,5 +1,6 @@
 """Tests for the compressed register file (SRF/VRF, NVO, shared pool)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -271,3 +272,43 @@ class TestWidthMasking:
         rf = CompressedRegFile(LANES, 33, SlotPool(4), detect_affine=False)
         rf.write(0, 1, [(1 << 40) | 5] * LANES)
         assert rf.read(0, 1)[0] == [((1 << 40) | 5) & ((1 << 33) - 1)] * LANES
+
+    def test_out_of_width_lane_masked_in_vector(self):
+        # One out-of-width lane in an incompressible vector: only the
+        # stored copy is masked, the caller's list is left alone.
+        rf = CompressedRegFile(LANES, 32, SlotPool(4))
+        values = [3, 1, 4, 1, 5, 9, 2, (1 << 32) | 6]
+        rf.write(0, 1, values)
+        assert rf.read(0, 1)[0] == [3, 1, 4, 1, 5, 9, 2, 6]
+        assert values[-1] == (1 << 32) | 6
+
+
+class TestWriteAliasing:
+    """A full-mask write may compress the caller's list in place, but a
+    stored vector must never share it."""
+
+    @pytest.mark.parametrize("resident", [False, True])
+    def test_mutating_the_written_list_leaves_the_register(self, resident):
+        rf = CompressedRegFile(LANES, 32, SlotPool(4))
+        if resident:
+            # Overwrite an already VRF-resident vector.
+            rf.write(0, 1, [7, 0, 7, 7, 0, 7, 7, 7])
+            assert rf.is_vector_resident(0, 1)
+        values = [3, 1, 4, 1, 5, 9, 2, 6]
+        rf.write(0, 1, values)
+        assert rf.is_vector_resident(0, 1)
+        values[0] = 99
+        values[5] = 0
+        assert rf.read(0, 1)[0] == [3, 1, 4, 1, 5, 9, 2, 6]
+        # A masked merge into the register must not reach the list either.
+        rf.write(0, 1, [11] * LANES, active_mask=0b10)
+        assert values == [99, 1, 4, 1, 5, 0, 2, 6]
+        assert rf.read(0, 1)[0] == [3, 11, 4, 1, 5, 9, 2, 6]
+
+    def test_two_registers_written_from_one_list(self):
+        rf = CompressedRegFile(LANES, 32, SlotPool(4))
+        values = [3, 1, 4, 1, 5, 9, 2, 6]
+        rf.write(0, 1, values)
+        rf.write(0, 2, values)
+        rf.write(0, 1, [0] * LANES, active_mask=0b1)
+        assert rf.read(0, 2)[0] == [3, 1, 4, 1, 5, 9, 2, 6]
